@@ -9,18 +9,21 @@ that apply against exact iteration.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, UnsupportedDegree
-from .recurrence import CharPoly, Recurrence, characteristic_polynomial, iterate
-from .roots import RootSet, _cubic_labelled, cubic_roots, numeric_roots, quadratic_roots
-from .unity import HALF, IDENTITY, QUARTER, THIRD, THREE_QUARTERS, TWO_THIRDS, Rotor, rotor_value
-
-_OMEGA = rotor_value(THIRD)
-_OMEGA2 = rotor_value(TWO_THIRDS)
+from .recurrence import Recurrence, characteristic_polynomial, iterate
+from .roots import (
+    _OMEGA,
+    _OMEGA2,
+    RootSet,
+    _cubic_labelled,
+    _min_separation,
+    cubic_roots,
+    numeric_roots,
+    quadratic_roots,
+)
+from .unity import HALF, IDENTITY, QUARTER, THIRD, THREE_QUARTERS, TWO_THIRDS, rotor_value
 
 _INT_SNAP_LIMIT = 2.0 ** 52
 
@@ -49,12 +52,18 @@ class MForm:
     coefficients: tuple
     signatures: tuple
     roots: tuple
+    # value(sig_j[m]), computed once rather than at every k
+    signature_values: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        values = tuple(tuple(rotor_value(s) for s in sig) for sig in self.signatures)
+        object.__setattr__(self, "signature_values", values)
 
     def evaluate(self, k: int) -> float:
         total = 0j
         powers = [r ** k for r in self.roots]
-        for m_j, sig in zip(self.coefficients, self.signatures):
-            chain = sum(rotor_value(s) * p for s, p in zip(sig, powers))
+        for m_j, wrow in zip(self.coefficients, self.signature_values):
+            chain = sum(w * p for w, p in zip(wrow, powers))
             total += m_j * chain
         return total.real
 
@@ -72,11 +81,35 @@ def _rootset_for(rec: Recurrence) -> RootSet:
     return numeric_roots(characteristic_polynomial(rec))
 
 
-def _guard_distinct(rs: RootSet, rec: Recurrence):
-    if rec.order >= 2 and rs.min_separation <= 1e-7 * _coeff_scale(rec):
-        raise DegenerateRoots(
-            f"characteristic roots separated by only {rs.min_separation:.3g}"
-        )
+def _guard_distinct(separation: float, rec: Recurrence):
+    if rec.order >= 2 and separation <= 1e-7 * _coeff_scale(rec):
+        raise DegenerateRoots(f"characteristic roots separated by only {separation:.3g}")
+
+
+def _solve(matrix, rhs) -> list:
+    """Solve matrix @ x = rhs by Gaussian elimination with partial pivoting.
+
+    The systems here are at most 5x5.  Pivots are chosen by |re| + |im|, as
+    LAPACK's getrf does, and an exactly zero pivot raises SingularSystem,
+    the condition under which getrf reports a singular matrix.
+    """
+    n = len(rhs)
+    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col].real) + abs(a[r][col].imag))
+        if a[piv][col] == 0:
+            raise SingularSystem(f"singular matrix: zero pivot in column {col}")
+        a[col], a[piv] = a[piv], a[col]
+        top = a[col]
+        for row in a[col + 1:]:
+            f = row[col] / top[col]
+            for c in range(col + 1, n + 1):
+                row[c] -= f * top[c]
+    x = [0j] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
+    return x
 
 
 def solve_weights(rec: Recurrence) -> BinetForm:
@@ -86,20 +119,14 @@ def solve_weights(rec: Recurrence) -> BinetForm:
     it makes the constant column a copy of a root-power column.
     """
     rs = _rootset_for(rec)
-    _guard_distinct(rs, rec)
+    _guard_distinct(rs.min_separation, rec)
     if any(abs(r - 1.0) <= 1e-9 for r in rs.roots):
         raise SingularSystem("a characteristic root at 1 collides with the constant column")
     n = rec.order
     xs = iterate(rec, n + 1)
-    matrix = np.array(
-        [[r ** i for r in rs.roots] + [1.0] for i in range(n + 1)], dtype=complex
-    )
-    rhs = np.array([float(x) for x in xs], dtype=complex)
-    try:
-        sol = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return BinetForm(rs, tuple(complex(w) for w in sol), rec)
+    matrix = [[r ** i for r in rs.roots] + [1 + 0j] for i in range(n + 1)]
+    sol = _solve(matrix, [complex(float(x)) for x in xs])
+    return BinetForm(rs, tuple(sol), rec)
 
 
 def closed_term(form: BinetForm, k: int) -> TermValue:
@@ -119,6 +146,11 @@ def binet2(rec: Recurrence, k: int) -> float:
     x_k = ((2 x1 - c1 x0)/2) * (r1^k - r2^k)/sigma1 + (x0/2) * (r1^k + r2^k)
     with sigma1 = sqrt(c1^2 + 4 c0), r1,r2 = (c1 +/- sigma1)/2.
     """
+    return _binet2_at(rec)(k)
+
+
+def _binet2_at(rec: Recurrence):
+    """binet2's root solve, done once; returns k -> x_k."""
     if rec.order != 2:
         raise ArityMismatch("binet2 needs an order-2 recurrence")
     c0, c1 = rec.coeffs
@@ -129,10 +161,14 @@ def binet2(rec: Recurrence, k: int) -> float:
     sigma1 = cmath.sqrt(complex(disc))
     r1 = (c1 + sigma1) / 2.0
     r2 = (c1 - sigma1) / 2.0
-    diff = (r1 ** k - r2 ** k) / sigma1
-    total = (r1 ** k + r2 ** k)
-    value = (2.0 * x1 - c1 * x0) / 2.0 * diff + x0 / 2.0 * total
-    return value.real
+    m_diff = (2.0 * x1 - c1 * x0) / 2.0
+    m_total = x0 / 2.0
+
+    def at(k: int) -> float:
+        diff = (r1 ** k - r2 ** k) / sigma1
+        total = (r1 ** k + r2 ** k)
+        return (m_diff * diff + m_total * total).real
+    return at
 
 
 def binet3(rec: Recurrence, k: int) -> float:
@@ -147,6 +183,11 @@ def binet3(rec: Recurrence, k: int) -> float:
     where N1 = 9 s1 x2 - 3(2 c2 s1 + s2^2) x1 - ((c2^2 + 6 c1) s1 - c2 s2^2) x0
     and N2 is the same with s1 and s2 exchanged.
     """
+    return _binet3_at(rec)(k)
+
+
+def _binet3_at(rec: Recurrence):
+    """binet3's cubic solve and seed numerators, done once; returns k -> x_k."""
     if rec.order != 3:
         raise ArityMismatch("binet3 needs an order-3 recurrence")
     c0, c1, c2 = rec.coeffs
@@ -160,12 +201,15 @@ def binet3(rec: Recurrence, k: int) -> float:
         - ((c2 * c2 + 6.0 * c1) * s1 - c2 * s2 * s2) * x0
     n2 = 9.0 * s2 * x2 - 3.0 * (2.0 * c2 * s2 + s1 * s1) * x1 \
         - ((c2 * c2 + 6.0 * c1) * s2 - c2 * s1 * s1) * x0
-    p1, p2, p3 = r1 ** k, r2 ** k, r3 ** k
-    q_k = p1 + _OMEGA2 * p2 + _OMEGA * p3
-    p_k = p1 + _OMEGA * p2 + _OMEGA2 * p3
-    s_k = p1 + p2 + p3
-    value = (n1 / 3.0) * (q_k / d) - (n2 / 3.0) * (p_k / d) + (x0 / 3.0) * s_k
-    return value.real
+    m_q, m_p, m_s = n1 / 3.0, n2 / 3.0, x0 / 3.0
+
+    def at(k: int) -> float:
+        p1, p2, p3 = r1 ** k, r2 ** k, r3 ** k
+        q_k = p1 + _OMEGA2 * p2 + _OMEGA * p3
+        p_k = p1 + _OMEGA * p2 + _OMEGA2 * p3
+        s_k = p1 + p2 + p3
+        return (m_q * (q_k / d) - m_p * (p_k / d) + m_s * s_k).real
+    return at
 
 
 _M_SIGNATURES = {
@@ -199,31 +243,24 @@ def m_form(rec: Recurrence) -> MForm:
         c0, c1 = rec.coeffs
         x0, x1 = rec.seeds
         rs, sigma1 = quadratic_roots(c0, c1)
-        _guard_distinct(rs, rec)
+        _guard_distinct(rs.min_separation, rec)
         labelled = ((c1 + sigma1) / 2.0, (c1 - sigma1) / 2.0)
         coeffs = (complex(x0) / 2.0, (2.0 * x1 - c1 * x0) / (2.0 * sigma1))
         return MForm(2, coeffs, sigs, labelled)
     if n == 3:
         labelled, _ = _cubic_labelled(*rec.coeffs)
-        _guard_distinct(_rootset_for(rec), rec)
+        _guard_distinct(_min_separation(labelled), rec)
     else:
         rs = _rootset_for(rec)
-        _guard_distinct(rs, rec)
+        _guard_distinct(rs.min_separation, rec)
         labelled = rs.roots
     weights = [[rotor_value(s) for s in sig] for sig in sigs]
-    matrix = np.array(
-        [
-            [sum(w * r ** k for w, r in zip(wrow, labelled)) for wrow in weights]
-            for k in range(n)
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([float(x) for x in rec.seeds], dtype=complex)
-    try:
-        sol = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return MForm(n, tuple(complex(m) for m in sol), sigs, tuple(labelled))
+    matrix = [
+        [sum(w * r ** k for w, r in zip(wrow, labelled)) for wrow in weights]
+        for k in range(n)
+    ]
+    sol = _solve(matrix, [complex(float(x)) for x in rec.seeds])
+    return MForm(n, tuple(sol), sigs, tuple(labelled))
 
 
 def component(rec: Recurrence, kind: str, k: int) -> complex:
@@ -290,9 +327,9 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
     form = solve_weights(rec)
     evaluators["weights"] = lambda k: closed_term(form, k).value
     if rec.order == 2:
-        evaluators["binet2"] = lambda k: binet2(rec, k)
+        evaluators["binet2"] = _binet2_at(rec)
     if rec.order == 3:
-        evaluators["binet3"] = lambda k: binet3(rec, k)
+        evaluators["binet3"] = _binet3_at(rec)
     if rec.order in (2, 3, 4):
         mf = m_form(rec)
         evaluators["m_form"] = mf.evaluate

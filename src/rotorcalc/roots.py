@@ -13,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     ArityMismatch,
     BranchSelectionFailed,
@@ -114,14 +112,19 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     return ResolventSet(3, (sigma1, best), A, B)
 
 
+def _cubic_from_sigmas(c2, s1, s2):
+    """The three roots labelled by the resolvent pair (sigma1, sigma2)."""
+    return (
+        (c2 + s1 + s2) / 3.0,
+        (c2 + _OMEGA2 * s1 + _OMEGA * s2) / 3.0,
+        (c2 + _OMEGA * s1 + _OMEGA2 * s2) / 3.0,
+    )
+
+
 def _cubic_labelled(c0: float, c1: float, c2: float):
     """Roots in the labelling tied to (sigma1, sigma2), plus the resolvents."""
     res = cubic_resolvents(c0, c1, c2)
-    s1, s2 = res.sigmas
-    r1 = (c2 + s1 + s2) / 3.0
-    r2 = (c2 + _OMEGA2 * s1 + _OMEGA * s2) / 3.0
-    r3 = (c2 + _OMEGA * s1 + _OMEGA2 * s2) / 3.0
-    return (r1, r2, r3), res
+    return _cubic_from_sigmas(c2, *res.sigmas), res
 
 
 def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
@@ -233,6 +236,30 @@ def sigma_from_roots(roots, table: PermutationTable):
     return [sum(w * roots[idx] for w, idx in zip(weights, row)) for row in table.rows]
 
 
+def _degree4_rows():
+    """The 7x4 map from four roots to the symmetric sum and the first-row
+    sigma of each signed degree-4 table."""
+    rows = [(1.0 + 0j,) * 4]
+    for table in permutation_tables(4)[1:]:
+        row = [0j] * 4
+        for r, idx in zip(table.signature, table.rows[0]):
+            row[idx] = rotor_value(r)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+_ROWS4 = _degree4_rows()
+# Every entry of _ROWS4 has modulus 1 and A^H A = 8I - J (J all ones), whose
+# inverse is (I + J/4)/8, so the least-squares solution is the constant
+# pseudo-inverse (I + J/4) A^H / 8 applied to the right-hand side.
+_PINV4 = tuple(
+    tuple(
+        (row[i].conjugate() + sum(row).conjugate() / 4.0) / 8.0 for row in _ROWS4
+    )
+    for i in range(4)
+)
+
+
 def roots_from_sigma(c_top: float, sigmas, n: int):
     """Invert the resolvent sums back to the n roots.
 
@@ -249,31 +276,20 @@ def roots_from_sigma(c_top: float, sigmas, n: int):
     if n == 3:
         if len(sigmas) != 2:
             raise ArityMismatch("degree 3 takes exactly two sigmas")
-        s1, s2 = sigmas
-        return [
-            (c_top + s1 + s2) / 3.0,
-            (c_top + _OMEGA2 * s1 + _OMEGA * s2) / 3.0,
-            (c_top + _OMEGA * s1 + _OMEGA2 * s2) / 3.0,
-        ]
+        return list(_cubic_from_sigmas(c_top, *sigmas))
     if n == 4:
         if len(sigmas) != 6:
             raise ArityMismatch("degree 4 takes exactly six sigmas")
-        rows = [[1.0 + 0j] * 4]
-        for table in permutation_tables(4)[1:]:
-            weights = [rotor_value(r) for r in table.signature]
-            row = [0j] * 4
-            for w, idx in zip(weights, table.rows[0]):
-                row[idx] = w
-            rows.append(row)
-        matrix = np.array(rows, dtype=complex)
-        rhs = np.array([complex(c_top)] + sigmas, dtype=complex)
-        sol, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-        residual = float(max(abs(matrix @ sol - rhs)))
+        rhs = [complex(c_top)] + sigmas
+        sol = [sum(p * b for p, b in zip(prow, rhs)) for prow in _PINV4]
+        residual = max(
+            abs(sum(a * z for a, z in zip(row, sol)) - b) for row, b in zip(_ROWS4, rhs)
+        )
         scale = 1.0 + max(abs(c_top), max(abs(s) for s in sigmas))
         if residual > 1e-8 * scale:
             raise InconsistentSigmas(
                 f"sigma values are not consistent with any root tuple "
                 f"(residual {residual:.3g})"
             )
-        return [complex(z) for z in sol]
+        return sol
     raise UnsupportedDegree(f"reconstruction covers degrees 2-4, not {n}")

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import rotorcalc.roots
 from rotorcalc.binet import (
+    _solve,
     binet2,
     binet3,
     closed_term,
@@ -65,6 +67,35 @@ class TestSolveWeights:
         # (x-1)^2: the double root must win over the root-at-1 report
         with pytest.raises(DegenerateRoots):
             solve_weights(Recurrence((-1, 2), (0, 1)))
+
+
+class TestLinearSolve:
+    def test_exactly_singular_complex_system(self):
+        # the second row is exactly twice the first, so elimination leaves a 0 pivot
+        with pytest.raises(SingularSystem):
+            _solve([[1 + 1j, 2j], [2 + 2j, 4j]], [1j, 2])
+        with pytest.raises(SingularSystem):
+            _solve([[0j, 1 + 1j], [0j, 2 - 1j]], [1, 1])
+
+    def test_zero_first_pivot_forces_row_swap(self):
+        matrix = [[0j, 1 + 1j, 2], [1j, 2, 0.5], [3, 1, 1j]]
+        want = [1 - 2j, 0.5j, 3]
+        rhs = [sum(a * x for a, x in zip(row, want)) for row in matrix]
+        got = _solve(matrix, rhs)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
+
+    def test_random_systems_have_small_residuals(self):
+        rng = random.Random(77)
+        for n in range(1, 6):
+            for _ in range(40):
+                matrix = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+                          for _ in range(n)]
+                rhs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+                x = _solve(matrix, rhs)
+                residual = max(abs(sum(a * z for a, z in zip(row, x)) - b)
+                               for row, b in zip(matrix, rhs))
+                scale = max(abs(z) for z in x) * max(abs(a) for row in matrix for a in row)
+                assert residual <= 1e-12 * max(1.0, scale)
 
 
 class TestClosedTerm:
@@ -275,6 +306,19 @@ class TestVerify:
     def test_propagates_solver_errors(self):
         with pytest.raises(DegenerateRoots):
             verify(Recurrence((-1, 2), (0, 1)), 10, 1e-8)
+
+    def test_order3_solves_the_cubic_once_per_path(self, monkeypatch):
+        calls = []
+        original = rotorcalc.roots.cubic_resolvents
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(rotorcalc.roots, "cubic_resolvents", counted)
+        report = verify(TRIB, 50, 1e-8)
+        assert report.passed
+        # weights, binet3 and m_form: one closed3 solve each, however large kmax
+        assert len(calls) == 3
 
     def test_failing_tolerance_reports_false(self):
         report = verify(FIB, 70, 1e-18)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rotorcalc
 from rotorcalc.cli import main
 
 
@@ -299,3 +304,15 @@ class TestDispatch:
             out = capsys.readouterr().out
             assert code == 0
             json.loads(out)  # must not raise
+
+
+def test_cli_import_loads_no_numpy():
+    src = str(Path(rotorcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import rotorcalc.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

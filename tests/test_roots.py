@@ -11,6 +11,8 @@ from rotorcalc.errors import (
 )
 from rotorcalc.recurrence import CharPoly
 from rotorcalc.roots import (
+    _PINV4,
+    _ROWS4,
     cubic_resolvents,
     cubic_roots,
     numeric_roots,
@@ -277,6 +279,18 @@ class TestRootsFromSigma:
             back = roots_from_sigma(sum(roots4), sigmas, 4)
             worst = max(abs(a - b) for a, b in zip(back, roots4))
             assert worst < 1e-8
+
+    def test_constant_pseudo_inverse_round_trip_n4(self):
+        # _PINV4 is a left inverse of the 7x4 reconstruction matrix
+        for i in range(4):
+            for j in range(4):
+                entry = sum(_PINV4[i][r] * _ROWS4[r][j] for r in range(7))
+                assert abs(entry - (1.0 if i == j else 0.0)) < 1e-15
+        tetra = numeric_roots(CharPoly(4, (1, 1, 1, 1))).roots
+        for roots4 in (tetra, (2, -1, 0.5j, -0.5j), (1 + 1j, 1 - 1j, -3, 0)):
+            sigmas = [sigma_from_roots(roots4, t)[0] for t in permutation_tables(4)[1:]]
+            back = roots_from_sigma(sum(roots4), sigmas, 4)
+            assert max(abs(a - b) for a, b in zip(back, roots4)) < 1e-12
 
     def test_inconsistent_sigmas(self):
         rng = random.Random(99)

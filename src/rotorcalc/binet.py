@@ -1,24 +1,33 @@
 """Closed forms for linear recurrences.
 
-Three routes to the same numbers: a general weights-on-root-powers form
-solved from the seeds, the explicit seed-coefficient formulas for orders 2
-and 3, and the rotor-expansion (M-coefficient) form whose basis chains are
-root powers weighted by roots of unity.  `verify` cross-checks all routes
-that apply against exact iteration.
+Every closed form here is one weighted power sum over the characteristic
+roots, x_k = sum_m W_m r_m^k (`_power_sum`, the only place a root is raised
+to the k-th power).  The routes differ only in where the weights W come from:
+- `solve_weights`: solved from the first n+1 iterated terms, plus a constant
+  weight (any order);
+- `binet2`, `binet3`: the paper's seed coefficients M, closed in the seeds,
+  coefficients and resolvents, folded over the rotor-weighted chain rows
+  sig_j as W_m = sum_j M_j value(sig_j[m]);
+- `m_form`: the same fold, with binet2's M at order 2 and M solved from the
+  seeds at orders 3 and 4;
+- `component`: one chain row, W_m = value(sig_j[m]), the signed rows divided
+  by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
+
+`verify` cross-checks all routes that apply against exact iteration.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from operator import mul
 
-from .errors import ArityMismatch, DegenerateRoots, SingularSystem, UnsupportedDegree
+from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
 from .recurrence import Recurrence, characteristic_polynomial, iterate
 from .roots import (
-    _OMEGA,
-    _OMEGA2,
     RootSet,
     _cubic_labelled,
     _min_separation,
+    _quadratic_labelled,
     cubic_roots,
     numeric_roots,
     quadratic_roots,
@@ -26,6 +35,22 @@ from .roots import (
 from .unity import HALF, IDENTITY, QUARTER, THIRD, THREE_QUARTERS, TWO_THIRDS, rotor_value
 
 _INT_SNAP_LIMIT = 2.0 ** 52
+
+
+def _power_sum(weights, roots, k: int) -> complex:
+    """sum(w_m * r_m^k) over paired weights and roots; TermOverflow beyond float range."""
+    try:
+        total = sum(w * r ** k for w, r in zip(weights, roots))
+    except OverflowError:
+        total = cmath.inf
+    if not cmath.isfinite(total):
+        raise TermOverflow(f"the closed-form term at k={k} is beyond float range")
+    return total
+
+
+def _fold(coefficients, values) -> tuple:
+    """One weight per root, W_m = sum_j M_j * values[j][m]."""
+    return tuple(sum(map(mul, coefficients, col)) for col in zip(*values))
 
 
 @dataclass(frozen=True)
@@ -46,30 +71,45 @@ class BinetForm:
 
 @dataclass(frozen=True)
 class MForm:
-    """x_k = sum_j M_j * chain_j(k), chain_j(k) = sum_m value(sig_j[m]) * roots[m]^k."""
+    """x_k = sum_j M_j * chain_j(k), chain_j(k) = sum_m value(sig_j[m]) * roots[m]^k.
+
+    The chains are folded once into one weight per root,
+    W_m = sum_j M_j * value(sig_j[m]), so each term is a single power sum.
+    """
 
     order: int
     coefficients: tuple
     signatures: tuple
     roots: tuple
-    # value(sig_j[m]), computed once rather than at every k
-    signature_values: tuple = field(init=False, repr=False, compare=False)
+    root_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(tuple(rotor_value(s) for s in sig) for sig in self.signatures)
-        object.__setattr__(self, "signature_values", values)
+        values = [[rotor_value(s) for s in sig] for sig in self.signatures]
+        object.__setattr__(self, "root_weights", _fold(self.coefficients, values))
 
     def evaluate(self, k: int) -> float:
-        total = 0j
-        powers = [r ** k for r in self.roots]
-        for m_j, wrow in zip(self.coefficients, self.signature_values):
-            chain = sum(w * p for w, p in zip(wrow, powers))
-            total += m_j * chain
-        return total.real
+        return _power_sum(self.root_weights, self.roots, k).real
 
 
-def _coeff_scale(rec: Recurrence) -> float:
-    return 1.0 + max(abs(c) for c in rec.coeffs)
+_M_SIGNATURES = {
+    2: ((IDENTITY, IDENTITY), (IDENTITY, HALF)),
+    3: (
+        (IDENTITY, IDENTITY, IDENTITY),
+        (IDENTITY, THIRD, TWO_THIRDS),
+        (IDENTITY, TWO_THIRDS, THIRD),
+    ),
+    4: (
+        (IDENTITY, IDENTITY, IDENTITY, IDENTITY),
+        (IDENTITY, QUARTER, THREE_QUARTERS, HALF),
+        (IDENTITY, HALF, QUARTER, THREE_QUARTERS),
+        (IDENTITY, THREE_QUARTERS, HALF, QUARTER),
+    ),
+}
+# value(sig_j[m]) of every chain row
+_M_VALUES = {
+    n: tuple(tuple(rotor_value(s) for s in sig) for sig in sigs)
+    for n, sigs in _M_SIGNATURES.items()
+}
 
 
 def _rootset_for(rec: Recurrence) -> RootSet:
@@ -82,7 +122,7 @@ def _rootset_for(rec: Recurrence) -> RootSet:
 
 
 def _guard_distinct(separation: float, rec: Recurrence):
-    if rec.order >= 2 and separation <= 1e-7 * _coeff_scale(rec):
+    if rec.order >= 2 and separation <= 1e-7 * (1.0 + max(abs(c) for c in rec.coeffs)):
         raise DegenerateRoots(f"characteristic roots separated by only {separation:.3g}")
 
 
@@ -132,12 +172,60 @@ def solve_weights(rec: Recurrence) -> BinetForm:
 def closed_term(form: BinetForm, k: int) -> TermValue:
     """Evaluate the weights form at k; integral sources also get the nearest
     integer and the distance to it (within exact-float range)."""
-    value = sum(w * r ** k for w, r in zip(form.weights, form.roots.roots))
-    value = value + form.weights[-1]
+    value = _power_sum(form.weights, form.roots.roots, k) + form.weights[-1]
     if form.source.integral and abs(value.real) < _INT_SNAP_LIMIT:
         nearest = round(value.real)
         return TermValue(value, nearest, abs(value - nearest))
     return TermValue(value)
+
+
+def _resolvent_roots(rec: Recurrence, n: int, name: str):
+    """Order-n roots labelled by their resolvents, the resolvents, and the
+    divisor of the signed chains: sigma1 (n=2) or D = sigma1^3 - sigma2^3 (n=3)."""
+    if rec.order != n:
+        raise ArityMismatch(f"{name} needs an order-{n} recurrence")
+    if n == 2:
+        roots, sigma1 = _quadratic_labelled(*rec.coeffs)
+        return roots, (sigma1,), sigma1
+    roots, res = _cubic_labelled(*rec.coeffs)
+    s1, s2 = res.sigmas
+    return roots, res.sigmas, s1 ** 3 - s2 ** 3
+
+
+def _refuse_zero(divisor, n: int):
+    if divisor == 0:
+        name = "sigma1" if n == 2 else "D = sigma1^3 - sigma2^3"
+        raise DegenerateRoots(f"repeated root: {name} = 0")
+
+
+def _seed_coefficients(rec: Recurrence, n: int, name: str):
+    """The paper's seed coefficients M over the order-n chain rows, and the
+    labelled roots.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
+    Order 3: M = (x0/3, -N2/(3D), N1/(3D)) with
+    N1 = 9 s1 x2 - 3(2 c2 s1 + s2^2) x1 - ((c2^2 + 6 c1) s1 - c2 s2^2) x0
+    and N2 the same with s1 and s2 exchanged.
+    """
+    roots, sigmas, d = _resolvent_roots(rec, n, name)
+    _refuse_zero(d, n)
+    if n == 2:
+        x0, x1 = rec.seeds
+        return (complex(x0) / 2.0, (2.0 * x1 - rec.coeffs[1] * x0) / (2.0 * d)), roots
+    _, c1, c2 = rec.coeffs
+    x0, x1, x2 = rec.seeds
+    s1, s2 = sigmas
+    n1 = 9.0 * s1 * x2 - 3.0 * (2.0 * c2 * s1 + s2 * s2) * x1 \
+        - ((c2 * c2 + 6.0 * c1) * s1 - c2 * s2 * s2) * x0
+    n2 = 9.0 * s2 * x2 - 3.0 * (2.0 * c2 * s2 + s1 * s1) * x1 \
+        - ((c2 * c2 + 6.0 * c1) * s2 - c2 * s1 * s1) * x0
+    return (x0 / 3.0, -n2 / (3.0 * d), n1 / (3.0 * d)), roots
+
+
+def _binet_at(rec: Recurrence, n: int):
+    """binet2/binet3's root solve and seed coefficients, folded once into one
+    weight per root; returns k -> x_k."""
+    m, roots = _seed_coefficients(rec, n, f"binet{n}")
+    weights = _fold(m, _M_VALUES[n])
+    return lambda k: _power_sum(weights, roots, k).real
 
 
 def binet2(rec: Recurrence, k: int) -> float:
@@ -146,86 +234,18 @@ def binet2(rec: Recurrence, k: int) -> float:
     x_k = ((2 x1 - c1 x0)/2) * (r1^k - r2^k)/sigma1 + (x0/2) * (r1^k + r2^k)
     with sigma1 = sqrt(c1^2 + 4 c0), r1,r2 = (c1 +/- sigma1)/2.
     """
-    return _binet2_at(rec)(k)
-
-
-def _binet2_at(rec: Recurrence):
-    """binet2's root solve, done once; returns k -> x_k."""
-    if rec.order != 2:
-        raise ArityMismatch("binet2 needs an order-2 recurrence")
-    c0, c1 = rec.coeffs
-    x0, x1 = rec.seeds
-    disc = c1 * c1 + 4.0 * c0
-    if disc == 0:
-        raise DegenerateRoots("repeated root: c1^2 + 4 c0 = 0")
-    sigma1 = cmath.sqrt(complex(disc))
-    r1 = (c1 + sigma1) / 2.0
-    r2 = (c1 - sigma1) / 2.0
-    m_diff = (2.0 * x1 - c1 * x0) / 2.0
-    m_total = x0 / 2.0
-
-    def at(k: int) -> float:
-        diff = (r1 ** k - r2 ** k) / sigma1
-        total = (r1 ** k + r2 ** k)
-        return (m_diff * diff + m_total * total).real
-    return at
+    return _binet_at(rec, 2)(k)
 
 
 def binet3(rec: Recurrence, k: int) -> float:
     """Order-3 seed-coefficient closed form built on the resolvents.
 
-    With D = sigma1^3 - sigma2^3 and the rotor-weighted power chains
+    With D = sigma1^3 - sigma2^3, the rotor-weighted power chains
     P_k = r1^k + w r2^k + w^2 r3^k and Q_k = r1^k + w^2 r2^k + w r3^k
-    (w the primitive cube root), the term is
-
-      x_k = (N1/3)(Q_k/D) - (N2/3)(P_k/D) + (x0/3)(r1^k + r2^k + r3^k)
-
-    where N1 = 9 s1 x2 - 3(2 c2 s1 + s2^2) x1 - ((c2^2 + 6 c1) s1 - c2 s2^2) x0
-    and N2 is the same with s1 and s2 exchanged.
+    (w the primitive cube root) and N1, N2 as in `_seed_coefficients`,
+    x_k = (N1/3)(Q_k/D) - (N2/3)(P_k/D) + (x0/3)(r1^k + r2^k + r3^k).
     """
-    return _binet3_at(rec)(k)
-
-
-def _binet3_at(rec: Recurrence):
-    """binet3's cubic solve and seed numerators, done once; returns k -> x_k."""
-    if rec.order != 3:
-        raise ArityMismatch("binet3 needs an order-3 recurrence")
-    c0, c1, c2 = rec.coeffs
-    x0, x1, x2 = rec.seeds
-    (r1, r2, r3), res = _cubic_labelled(c0, c1, c2)
-    s1, s2 = res.sigmas
-    d = s1 ** 3 - s2 ** 3
-    if d == 0:
-        raise DegenerateRoots("repeated root: sigma1^3 = sigma2^3")
-    n1 = 9.0 * s1 * x2 - 3.0 * (2.0 * c2 * s1 + s2 * s2) * x1 \
-        - ((c2 * c2 + 6.0 * c1) * s1 - c2 * s2 * s2) * x0
-    n2 = 9.0 * s2 * x2 - 3.0 * (2.0 * c2 * s2 + s1 * s1) * x1 \
-        - ((c2 * c2 + 6.0 * c1) * s2 - c2 * s1 * s1) * x0
-    m_q, m_p, m_s = n1 / 3.0, n2 / 3.0, x0 / 3.0
-
-    def at(k: int) -> float:
-        p1, p2, p3 = r1 ** k, r2 ** k, r3 ** k
-        q_k = p1 + _OMEGA2 * p2 + _OMEGA * p3
-        p_k = p1 + _OMEGA * p2 + _OMEGA2 * p3
-        s_k = p1 + p2 + p3
-        return (m_q * (q_k / d) - m_p * (p_k / d) + m_s * s_k).real
-    return at
-
-
-_M_SIGNATURES = {
-    2: ((IDENTITY, IDENTITY), (IDENTITY, HALF)),
-    3: (
-        (IDENTITY, IDENTITY, IDENTITY),
-        (IDENTITY, THIRD, TWO_THIRDS),
-        (IDENTITY, TWO_THIRDS, THIRD),
-    ),
-    4: (
-        (IDENTITY, IDENTITY, IDENTITY, IDENTITY),
-        (IDENTITY, QUARTER, THREE_QUARTERS, HALF),
-        (IDENTITY, HALF, QUARTER, THREE_QUARTERS),
-        (IDENTITY, THREE_QUARTERS, HALF, QUARTER),
-    ),
-}
+    return _binet_at(rec, 3)(k)
 
 
 def m_form(rec: Recurrence) -> MForm:
@@ -238,29 +258,19 @@ def m_form(rec: Recurrence) -> MForm:
     n = rec.order
     if n not in (2, 3, 4):
         raise UnsupportedDegree(f"rotor expansion covers orders 2-4, not {n}")
-    sigs = _M_SIGNATURES[n]
     if n == 2:
-        c0, c1 = rec.coeffs
-        x0, x1 = rec.seeds
-        rs, sigma1 = quadratic_roots(c0, c1)
-        _guard_distinct(rs.min_separation, rec)
-        labelled = ((c1 + sigma1) / 2.0, (c1 - sigma1) / 2.0)
-        coeffs = (complex(x0) / 2.0, (2.0 * x1 - c1 * x0) / (2.0 * sigma1))
-        return MForm(2, coeffs, sigs, labelled)
-    if n == 3:
-        labelled, _ = _cubic_labelled(*rec.coeffs)
-        _guard_distinct(_min_separation(labelled), rec)
+        coeffs, labelled = _seed_coefficients(rec, 2, "m_form")
     else:
-        rs = _rootset_for(rec)
-        _guard_distinct(rs.min_separation, rec)
-        labelled = rs.roots
-    weights = [[rotor_value(s) for s in sig] for sig in sigs]
-    matrix = [
-        [sum(w * r ** k for w, r in zip(wrow, labelled)) for wrow in weights]
-        for k in range(n)
-    ]
-    sol = _solve(matrix, [complex(float(x)) for x in rec.seeds])
-    return MForm(n, tuple(sol), sigs, tuple(labelled))
+        labelled = _cubic_labelled(*rec.coeffs)[0] if n == 3 else _rootset_for(rec).roots
+    _guard_distinct(_min_separation(labelled), rec)
+    if n > 2:
+        matrix = [[_power_sum(row, labelled, k) for row in _M_VALUES[n]] for k in range(n)]
+        coeffs = tuple(_solve(matrix, [complex(float(x)) for x in rec.seeds]))
+    return MForm(n, coeffs, _M_SIGNATURES[n], tuple(labelled))
+
+
+# component kind -> (order, chain row of _M_SIGNATURES[order])
+_CHAINS = {"L": (2, 0), "F": (2, 1), "C": (3, 0), "B": (3, 1), "A": (3, 2)}
 
 
 def component(rec: Recurrence, kind: str, k: int) -> complex:
@@ -268,35 +278,16 @@ def component(rec: Recurrence, kind: str, k: int) -> complex:
 
     Order 2: "F" = (r1^k - r2^k)/sigma1, "L" = r1^k + r2^k.
     Order 3: "A" = Q_k/D, "B" = P_k/D, "C" = r1^k + r2^k + r3^k.
+    "L" and "C" have no divisor, so they answer on repeated roots too.
     """
-    if kind in ("F", "L"):
-        if rec.order != 2:
-            raise ArityMismatch(f"component {kind} needs an order-2 recurrence")
-        c0, c1 = rec.coeffs
-        disc = c1 * c1 + 4.0 * c0
-        sigma1 = cmath.sqrt(complex(disc))
-        r1 = (c1 + sigma1) / 2.0
-        r2 = (c1 - sigma1) / 2.0
-        if kind == "L":
-            return r1 ** k + r2 ** k
-        if sigma1 == 0:
-            raise DegenerateRoots("repeated root: c1^2 + 4 c0 = 0")
-        return (r1 ** k - r2 ** k) / sigma1
-    if kind in ("A", "B", "C"):
-        if rec.order != 3:
-            raise ArityMismatch(f"component {kind} needs an order-3 recurrence")
-        (r1, r2, r3), res = _cubic_labelled(*rec.coeffs)
-        p1, p2, p3 = r1 ** k, r2 ** k, r3 ** k
-        if kind == "C":
-            return p1 + p2 + p3
-        s1, s2 = res.sigmas
-        d = s1 ** 3 - s2 ** 3
-        if d == 0:
-            raise DegenerateRoots("repeated root: sigma1^3 = sigma2^3")
-        if kind == "A":
-            return (p1 + _OMEGA2 * p2 + _OMEGA * p3) / d
-        return (p1 + _OMEGA * p2 + _OMEGA2 * p3) / d
-    raise ArityMismatch(f"unknown component kind {kind!r}")
+    if kind not in _CHAINS:
+        raise ArityMismatch(f"unknown component kind {kind!r}")
+    n, row = _CHAINS[kind]
+    roots, _, d = _resolvent_roots(rec, n, f"component {kind}")
+    if row == 0:
+        return _power_sum(_M_VALUES[n][0], roots, k)
+    _refuse_zero(d, n)
+    return _power_sum(_M_VALUES[n][row], roots, k) / d
 
 
 @dataclass(frozen=True)
@@ -317,29 +308,29 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
     """Compare every applicable closed form against exact iteration.
 
     Relative error uses max(1, |exact|) in the denominator so early zeros
-    do not blow up the measure.  Solver errors propagate to the caller.
+    do not blow up the measure.  Solver errors propagate to the caller, and
+    an exact term beyond float range raises TermOverflow.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     exact = iterate(rec, kmax + 1)
-
     evaluators = {}
     form = solve_weights(rec)
     evaluators["weights"] = lambda k: closed_term(form, k).value
-    if rec.order == 2:
-        evaluators["binet2"] = _binet2_at(rec)
-    if rec.order == 3:
-        evaluators["binet3"] = _binet3_at(rec)
+    if rec.order in (2, 3):
+        evaluators[f"binet{rec.order}"] = _binet_at(rec, rec.order)
     if rec.order in (2, 3, 4):
-        mf = m_form(rec)
-        evaluators["m_form"] = mf.evaluate
+        evaluators["m_form"] = m_form(rec).evaluate
 
     paths = {}
     for name, fn in evaluators.items():
         worst = 0.0
         for k, want in enumerate(exact):
             got = fn(k)
-            err = abs(got - want) / max(1.0, abs(want))
+            try:
+                err = abs(got - want) / max(1.0, abs(want))
+            except OverflowError:
+                raise TermOverflow(f"x_{k} is beyond float range") from None
             worst = max(worst, err)
         paths[name] = PathCheck(worst, worst <= rel_tol)
     return VerifyReport(kmax, rel_tol, paths, all(p.passed for p in paths.values()))

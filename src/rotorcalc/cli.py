@@ -1,19 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for domain failures (solver errors, bad values,
-failed verification), 2 for usage failures (unparseable flags, unknown
-names).  Standard output carries only the payload (JSON by default, CSV
-where offered); diagnostics go to standard error.
+values beyond float range, failed verification), 2 for usage failures
+(unparseable flags, non-finite numbers, unknown names).  Standard output
+carries only the payload (strict JSON by default, CSV where offered);
+diagnostics go to standard error.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
 
 from .binet import closed_term, solve_weights, verify
-from .errors import DomainError, UnsupportedDegree
+from .errors import DomainError, EvaluationError, TermOverflow, UnsupportedDegree
 from .expr import evaluate, parse
 from .recurrence import CharPoly, Recurrence, iterate
 from .roots import cubic_resolvents, cubic_roots, numeric_roots, quadratic_roots
@@ -24,9 +26,19 @@ class _UsageError(Exception):
     pass
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_numbers(text: str, flag: str):
-    """Comma-separated reals; integer-looking entries stay integers so the
-    exact-iteration path can see them."""
+    """Comma-separated finite reals; integer-looking entries stay integers so
+    the exact-iteration path can see them."""
     out = []
     for raw in text.split(","):
         raw = raw.strip()
@@ -34,9 +46,9 @@ def _parse_numbers(text: str, flag: str):
             out.append(int(raw))
         except ValueError:
             try:
-                out.append(float(raw))
-            except ValueError:
-                raise _UsageError(f"{flag} entry {raw!r} is not a number") from None
+                out.append(_finite_float(raw))
+            except argparse.ArgumentTypeError as exc:
+                raise _UsageError(f"{flag} entry {exc}") from None
     return out
 
 
@@ -55,11 +67,19 @@ def _cplx(z: complex) -> dict:
 
 
 def _emit(payload):
-    print(json.dumps(payload, indent=2))
+    """Print strict JSON; a payload it cannot hold (a non-finite float, an
+    integer past Python's digit limit) is refused instead."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise TermOverflow(f"the result cannot be printed as strict JSON: {exc}") from None
+    print(text)
 
 
 def cmd_eval(args) -> int:
     value = evaluate(parse(args.expr))
+    if not cmath.isfinite(value):
+        raise EvaluationError("the expression's value is beyond float range")
     arg = math.atan2(value.imag, value.real)
     if arg <= -math.pi:
         arg = math.pi
@@ -102,7 +122,7 @@ def cmd_roots(args) -> int:
             {"re": r.real, "im": r.imag, "residual": res}
             for r, res in zip(rs.roots, rs.residuals)
         ],
-        "min_separation": rs.min_separation,
+        "min_separation": rs.min_separation if n > 1 else None,
     }
     if n in (2, 3):
         payload.update(_sigma_block(coeffs))
@@ -261,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="c_0,...,c_{n-1}")
     p.add_argument("--method", choices=["closed", "numeric"], default=None,
                    help="closed forms (degrees 2-3) or simultaneous iteration")
-    p.add_argument("--tol", type=float, default=1e-10, help="numeric sweep tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-10, help="numeric sweep tolerance")
     p.set_defaults(func=cmd_roots)
 
     for name, fn, extra in (
@@ -280,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=["json", "csv"], default="json")
         if name == "verify":
             p.add_argument("--kmax", type=int, required=True, help="check k = 0..kmax")
-            p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
+            p.add_argument("--tol", type=_finite_float, default=1e-8, help="relative tolerance")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("table", help="multiplication table of a rotor family")
@@ -306,6 +326,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

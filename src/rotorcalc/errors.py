@@ -44,7 +44,8 @@ class LexError(ParseError):
 
 
 class EvaluationError(DomainError):
-    """Expression has no finite value (zero base raised to a negative power)."""
+    """Expression has no finite value (zero base raised to a negative power,
+    or a value beyond float range)."""
 
 
 class ZeroLeadingCoefficient(DomainError):
@@ -85,3 +86,9 @@ class DegenerateRoots(DomainError):
 
 class SingularSystem(DomainError):
     """Weight system is singular (a characteristic root equals 1)."""
+
+
+class TermOverflow(DomainError):
+    """A value lies beyond the range it must fit: float range for a
+    closed-form term or the exact term it is checked against, strict JSON
+    for a number in a CLI payload."""

@@ -250,7 +250,10 @@ def evaluate(e: Expr) -> complex:
         base = evaluate(e.base)
         if base == 0 and e.exponent < 0:
             raise EvaluationError("zero base with negative exponent")
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:
+            raise EvaluationError("power beyond float range") from None
     if isinstance(e, Chain):
         total = 0j
         for op, item in e.items:

@@ -69,18 +69,26 @@ def _root_set(raw_roots, poly: CharPoly, method: str) -> RootSet:
     return RootSet(rts, residuals, _min_separation(rts), method)
 
 
+def _quadratic_from_sigma(c1, s1):
+    """The two roots labelled by the resolvent difference sigma1."""
+    return (c1 + s1) / 2.0, (c1 - s1) / 2.0
+
+
+def _quadratic_labelled(c0: float, c1: float):
+    """Roots in the labelling tied to sigma1, plus sigma1 itself."""
+    sigma1 = cmath.sqrt(complex(c1 * c1 + 4.0 * c0))
+    return _quadratic_from_sigma(c1, sigma1), sigma1
+
+
 def quadratic_roots(c0: float, c1: float):
     """Roots of x^2 = c1 x + c0 and the resolvent difference sigma1.
 
     sigma1 is the principal square root of c1^2 + 4 c0; the roots are
     (c1 +/- sigma1)/2.  Returns (RootSet, sigma1).
     """
-    disc = c1 * c1 + 4.0 * c0
-    sigma1 = cmath.sqrt(complex(disc))
-    r = (c1 + sigma1) / 2.0
-    s = (c1 - sigma1) / 2.0
+    labelled, sigma1 = _quadratic_labelled(c0, c1)
     poly = CharPoly(2, (c0, c1))
-    return _root_set((r, s), poly, "closed2"), sigma1
+    return _root_set(labelled, poly, "closed2"), sigma1
 
 
 def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
@@ -271,8 +279,7 @@ def roots_from_sigma(c_top: float, sigmas, n: int):
     if n == 2:
         if len(sigmas) != 1:
             raise ArityMismatch("degree 2 takes exactly one sigma")
-        s1 = sigmas[0]
-        return [(c_top + s1) / 2.0, (c_top - s1) / 2.0]
+        return list(_quadratic_from_sigma(c_top, sigmas[0]))
     if n == 3:
         if len(sigmas) != 2:
             raise ArityMismatch("degree 3 takes exactly two sigmas")

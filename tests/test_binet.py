@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import rotorcalc.binet
 import rotorcalc.roots
 from rotorcalc.binet import (
+    _power_sum,
     _solve,
     binet2,
     binet3,
@@ -19,6 +21,7 @@ from rotorcalc.errors import (
     DegenerateRoots,
     DomainError,
     SingularSystem,
+    TermOverflow,
     UnsupportedDegree,
 )
 from rotorcalc.recurrence import Recurrence, iterate
@@ -359,3 +362,65 @@ class TestHomogeneityConstant:
             scale = 1.0 + seeds_scale + weight_scale
             assert abs(form.weights[-1]) <= 1e-9 * scale
             checked += 1
+
+
+class TestRepeatedRootChains:
+    def test_lucas_chain_on_double_root(self):
+        # (x-1)^2: no divisor in r1^k + r2^k, so it still answers
+        assert component(Recurrence((-1, 2), (0, 1)), "L", 3) == 2
+
+    def test_symmetric_chain_on_double_root(self):
+        # (x-1)^2 (x+1): r1^k + r2^k + r3^k = 2 + (-1)^k
+        rec = Recurrence((-1, 1, 1), (0, 1, 2))
+        for k in (3, 4):
+            assert abs(component(rec, "C", k) - (2 + (-1) ** k)) < 1e-9
+
+
+class TestTermOverflow:
+    def test_is_a_domain_error(self):
+        assert issubclass(TermOverflow, DomainError)
+
+    def test_closed_term(self):
+        with pytest.raises(TermOverflow):
+            closed_term(solve_weights(FIB), 2000)
+
+    def test_binet2(self):
+        with pytest.raises(TermOverflow):
+            binet2(FIB, 2000)
+
+    def test_binet3(self):
+        with pytest.raises(TermOverflow):
+            binet3(TRIB, 2000)
+
+    def test_component(self):
+        with pytest.raises(TermOverflow):
+            component(FIB, "F", 2000)
+        with pytest.raises(TermOverflow):
+            component(TRIB, "C", 2000)
+
+    def test_m_form_evaluate(self):
+        mf = m_form(TETRA)
+        with pytest.raises(TermOverflow):
+            mf.evaluate(2000)
+
+    def test_verify(self):
+        with pytest.raises(TermOverflow):
+            verify(FIB, 1600)
+
+    def test_verify_against_an_exact_term_beyond_float_range(self, monkeypatch):
+        # a finite closed form compared with an exact int too large for a float
+        def iterate_with_huge_last(rec, count):
+            terms = iterate(rec, count)
+            return terms[:-1] + [10 ** 400] if count == 11 else terms
+        monkeypatch.setattr(rotorcalc.binet, "iterate", iterate_with_huge_last)
+        with pytest.raises(TermOverflow):
+            verify(FIB, 10)
+
+    def test_finite_power_times_large_weight_is_refused(self):
+        # 1e10^2 is finite; 1e300 * 1e20 is not, and raises no OverflowError
+        with pytest.raises(TermOverflow):
+            _power_sum((1e300 + 0j,), (1e10 + 0j,), 2)
+
+    def test_last_terms_below_the_overflow_still_answer(self):
+        # x_1474 of Fibonacci is about 1e307, inside float range
+        assert binet2(FIB, 1474) > 1e307

@@ -1,6 +1,8 @@
+import collections
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -316,3 +318,141 @@ def test_cli_import_loads_no_numpy():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON token {name}")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+class TestStrictJson:
+    def test_non_finite_coefficient_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "roots", "--coeffs", "1,inf")
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
+    def test_non_finite_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "solve", "--coeffs", "1,1", "--seeds", "0,nan")
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
+    def test_overflowing_literal_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "term", "--coeffs", "1e999,1", "--seeds", "0,1", "-k", "3")
+        assert code == 2
+        assert out == ""
+
+    def test_non_finite_tolerance_is_usage_error(self, capsys):
+        for tol in ("nan", "inf"):
+            code, out, _ = run(
+                capsys, "verify", "--coeffs", "1,1", "--seeds", "0,1",
+                "--kmax", "10", "--tol", tol,
+            )
+            assert code == 2
+            assert out == ""
+        code, out, _ = run(capsys, "roots", "--coeffs", "1,1,1,1", "--tol", "nan")
+        assert code == 2
+        assert out == ""
+
+    def test_degree_one_separation_is_null(self, capsys):
+        code, out, _ = run(capsys, "roots", "--coeffs", "5")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["min_separation"] is None
+        assert abs(payload["roots"][0]["re"] - 5) < 1e-9
+
+    def test_eval_beyond_float_range(self, capsys):
+        for text in ("1e308*10", "10^400", "1e999"):
+            code, out, err = run(capsys, "eval", text)
+            assert code == 1
+            assert out == ""
+            assert "EvaluationError" in err
+
+    def test_term_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "term", "--coeffs", "1,1", "--seeds", "0,1", "-k", "2000")
+        assert code == 1
+        assert out == ""
+        assert "TermOverflow" in err
+
+    def test_verify_beyond_float_range(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--coeffs", "1,1", "--seeds", "0,1", "--kmax", "1600"
+        )
+        assert code == 1
+        assert out == ""
+        assert "TermOverflow" in err
+
+    def test_non_finite_result_is_refused(self, capsys):
+        # finite inputs whose roots leave float range
+        code, out, err = run(capsys, "roots", "--coeffs", "1e200,1e200")
+        assert code == 1
+        assert out == ""
+        assert "TermOverflow" in err
+
+    def test_overflow_inside_a_solver_is_a_domain_failure(self, capsys):
+        code, out, err = run(capsys, "roots", "--coeffs", "1,1e200,1")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+
+
+_ENTRIES = ["0", "1", "-1", "2", "3", "-3", "0.5", "-1.25", "2.75", "1e200", "1e-300",
+            "nan", "inf", "-inf", "1e999", "", "x", "1,"]
+
+
+def _number_list(rng):
+    return ",".join(rng.choice(_ENTRIES) for _ in range(rng.randint(1, 4)))
+
+
+def _sweep_argv(rng):
+    cmd = rng.choice(["roots", "solve", "term", "verify", "eval"])
+    if cmd == "eval":
+        atoms = ["1", "2.5", "1e308", "1e999", "10", "I", "J", "i", "rot(1,3)", "(1 / 2)"]
+        ops = [" + ", " - ", " / ", " \\ ", " _ ", " ~ ", " = ", "*"]
+        text = rng.choice(atoms)
+        for _ in range(rng.randint(0, 4)):
+            text += rng.choice(ops) + rng.choice(atoms)
+            if rng.random() < 0.2:
+                text = f"({text})^{rng.choice([-3, 2, 40, 400])}"
+        return [cmd, text]
+    if cmd == "roots":
+        argv = [cmd, "--coeffs", _number_list(rng)]
+        if rng.random() < 0.3:
+            argv += ["--method", rng.choice(["closed", "numeric"])]
+        if rng.random() < 0.2:
+            argv += ["--tol", rng.choice(["1e-10", "nan", "inf", "0.1"])]
+        return argv
+    coeffs = _number_list(rng)
+    seeds = ",".join(rng.choice(_ENTRIES[:11]) for _ in coeffs.split(","))
+    if rng.random() < 0.2:
+        seeds = _number_list(rng)
+    argv = [cmd, "--coeffs", coeffs, "--seeds", seeds]
+    k = int(math.exp(rng.random() * math.log(5001))) - 1
+    if cmd == "term":
+        argv.append(f"-k={k if rng.random() < 0.95 else -k}")
+    if cmd == "verify":
+        argv.append(f"--kmax={k}")
+        if rng.random() < 0.2:
+            argv += ["--tol", rng.choice(["1e-6", "nan", "-inf", "1e999"])]
+    return argv
+
+
+def test_seeded_robustness_sweep(capsys):
+    rng = random.Random(4242)
+    codes = collections.Counter()
+    for _ in range(300):
+        argv = _sweep_argv(rng)
+        code = main(argv)  # anything escaping fails the test
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            strict_json(out)
+        elif out:
+            strict_json(out)  # a failed verification still prints its report
+        codes[code] += 1
+    # the sweep exercises all three outcomes
+    assert all(codes[c] > 0 for c in (0, 1, 2)), codes

@@ -32,7 +32,7 @@ from .roots import (
     numeric_roots,
     quadratic_roots,
 )
-from .unity import HALF, IDENTITY, QUARTER, THIRD, THREE_QUARTERS, TWO_THIRDS, rotor_value
+from .unity import rotor_value, signature_rows
 
 _INT_SNAP_LIMIT = 2.0 ** 52
 
@@ -92,18 +92,9 @@ class MForm:
 
 
 _M_SIGNATURES = {
-    2: ((IDENTITY, IDENTITY), (IDENTITY, HALF)),
-    3: (
-        (IDENTITY, IDENTITY, IDENTITY),
-        (IDENTITY, THIRD, TWO_THIRDS),
-        (IDENTITY, TWO_THIRDS, THIRD),
-    ),
-    4: (
-        (IDENTITY, IDENTITY, IDENTITY, IDENTITY),
-        (IDENTITY, QUARTER, THREE_QUARTERS, HALF),
-        (IDENTITY, HALF, QUARTER, THREE_QUARTERS),
-        (IDENTITY, THREE_QUARTERS, HALF, QUARTER),
-    ),
+    2: signature_rows("++ +-"),
+    3: signature_rows(r"+++ +/\ +\/"),
+    4: signature_rows("++++ +_~= +=_~ +~=_"),
 }
 # value(sig_j[m]) of every chain row
 _M_VALUES = {

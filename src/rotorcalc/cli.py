@@ -19,7 +19,9 @@ from .errors import DomainError, EvaluationError, TermOverflow, UnsupportedDegre
 from .expr import evaluate, parse
 from .recurrence import CharPoly, Recurrence, iterate
 from .roots import cubic_resolvents, cubic_roots, numeric_roots, quadratic_roots
-from .unity import FAMILY_ORDERS, Rotor, diff_reference, family_elements, multiplication_table
+from .unity import (
+    FAMILY_ORDERS, Rotor, diff_reference, family_elements, label_rotor, multiplication_table,
+)
 
 
 class _UsageError(Exception):
@@ -166,9 +168,11 @@ def cmd_seq(args) -> int:
         raise _UsageError("--count must be nonnegative")
     values = iterate(rec, args.count)
     if args.format == "csv":
-        print("k,value")
-        for k, v in enumerate(values):
-            print(f"{k},{v!r}" if isinstance(v, float) else f"{k},{v}")
+        try:
+            text = "\n".join(["k,value"] + [f"{k},{v}" for k, v in enumerate(values)])
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise TermOverflow(f"the result cannot be printed as CSV: {exc}") from None
+        print(text)
     else:
         _emit({"terms": [{"k": k, "value": v} for k, v in enumerate(values)]})
     return 0
@@ -191,16 +195,10 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_THIRD_FAMILY_NAMES = {
-    Rotor(0, 1): "+1", Rotor(1, 3): "/1", Rotor(2, 3): "\\1",
-    Rotor(1, 6): "+I", Rotor(1, 2): "/I", Rotor(5, 6): "\\I",
-}
-_QUARTER_FAMILY_NAMES = {
-    Rotor(0, 1): "+1", Rotor(1, 4): "_1", Rotor(1, 2): "=1", Rotor(3, 4): "~1",
-    Rotor(1, 8): "+J", Rotor(3, 8): "_J", Rotor(5, 8): "=J", Rotor(7, 8): "~J",
-    # mixed-family values that appear only in the known-bad reference cells
-    Rotor(1, 6): "+I", Rotor(2, 3): "=I", Rotor(11, 12): "~I",
-}
+_THIRD_FAMILY_NAMES = {label_rotor(s): s for s in r"+1 /1 \1 +I /I \I".split()}
+# +I, =I and ~I are mixed-family values that appear only in the known-bad
+# reference cells
+_QUARTER_FAMILY_NAMES = {label_rotor(s): s for s in "+1 _1 =1 ~1 +J _J =J ~J +I =I ~I".split()}
 _FAMILY_NAMES = {
     "R3": _THIRD_FAMILY_NAMES, "C3": _THIRD_FAMILY_NAMES, "union3": _THIRD_FAMILY_NAMES,
     "R4": _QUARTER_FAMILY_NAMES, "C4": _QUARTER_FAMILY_NAMES, "union8": _QUARTER_FAMILY_NAMES,

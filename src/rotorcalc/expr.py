@@ -20,23 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import EvaluationError, LexError, ParseError
-from .unity import Rotor, rotor_value
-
-OPSYM_ROTORS = {
-    "+": Rotor(0, 1),
-    "-": Rotor(1, 2),
-    "/": Rotor(1, 3),
-    "\\": Rotor(2, 3),
-    "_": Rotor(1, 4),
-    "~": Rotor(3, 4),
-    "=": Rotor(1, 2),
-}
-
-CONST_ROTORS = {
-    "I": Rotor(1, 6),
-    "J": Rotor(1, 8),
-    "i": Rotor(1, 4),
-}
+from .unity import CONST_ROTORS, OPSYM_ROTORS, Rotor, rotor_value
 
 
 @dataclass(frozen=True)
@@ -233,7 +217,15 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    return _Parser(text).parse()
+    """Parse text into an expression tree; ParseError on malformed input,
+    including nesting too deep for the recursive descent."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        span = tok.span if tok else (len(text), len(text))
+        raise ParseError("expression nests too deeply", span) from None
 
 
 def evaluate(e: Expr) -> complex:

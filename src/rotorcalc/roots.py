@@ -18,10 +18,11 @@ from .errors import (
     BranchSelectionFailed,
     InconsistentSigmas,
     NoConvergence,
+    TermOverflow,
     UnsupportedDegree,
 )
 from .recurrence import CharPoly
-from .unity import HALF, IDENTITY, QUARTER, THIRD, THREE_QUARTERS, TWO_THIRDS, Rotor, rotor_value
+from .unity import IDENTITY, THIRD, TWO_THIRDS, rotor_value, signature_rows
 
 _OMEGA = rotor_value(THIRD)
 _OMEGA2 = rotor_value(TWO_THIRDS)
@@ -76,7 +77,13 @@ def _quadratic_from_sigma(c1, s1):
 
 def _quadratic_labelled(c0: float, c1: float):
     """Roots in the labelling tied to sigma1, plus sigma1 itself."""
-    sigma1 = cmath.sqrt(complex(c1 * c1 + 4.0 * c0))
+    try:
+        disc = c1 * c1 + 4.0 * c0
+    except OverflowError:  # an integer coefficient too large for a float
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise TermOverflow("the quadratic discriminant is beyond float range")
+    sigma1 = cmath.sqrt(complex(disc))
     return _quadratic_from_sigma(c1, sigma1), sigma1
 
 
@@ -98,9 +105,15 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     A = 2 c2^3 + 9 c1 c2 + 27 c0 and B = c2^2 + 3 c1.  The cube-root
     branches are paired so that sigma1 * sigma2 = B.
     """
-    A = 2.0 * c2 ** 3 + 9.0 * c1 * c2 + 27.0 * c0
-    B = c2 * c2 + 3.0 * c1
-    sq = cmath.sqrt(complex(A * A - 4.0 * B ** 3))
+    try:
+        A = 2.0 * c2 ** 3 + 9.0 * c1 * c2 + 27.0 * c0
+        B = c2 * c2 + 3.0 * c1
+        disc = A * A - 4.0 * B ** 3
+    except OverflowError:  # float ** and int-to-float conversion raise; * gives inf
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise TermOverflow("the cubic resolvent discriminant is beyond float range")
+    sq = cmath.sqrt(complex(disc))
     y1 = (A + sq) / 2.0
     y2 = (A - sq) / 2.0
     sigma1 = y1 ** (1.0 / 3.0) if y1 != 0 else 0j
@@ -200,9 +213,9 @@ def vieta_residuals(roots: RootSet, p: CharPoly):
 
 
 _SIGNED_SIGNATURES = {
-    2: ((IDENTITY, HALF),),
-    3: ((IDENTITY, THIRD, TWO_THIRDS), (IDENTITY, TWO_THIRDS, THIRD)),
-    4: ((IDENTITY, QUARTER, THREE_QUARTERS, HALF),),
+    2: signature_rows("+-"),
+    3: signature_rows(r"+/\ +\/"),
+    4: signature_rows("+_~="),
 }
 
 

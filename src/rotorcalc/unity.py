@@ -49,6 +49,15 @@ THREE_QUARTERS = Rotor(3, 4)  # -i
 SIXTH = Rotor(1, 6)       # the I constant, exp(i*pi/3)
 EIGHTH = Rotor(1, 8)      # the J constant, exp(i*pi/4)
 
+# The pseudo-operator symbol table: the rotor each infix symbol applies to
+# its right operand (`-` and `=` are both the half turn, kept lexically
+# distinct), and the named constants.
+OPSYM_ROTORS = {
+    "+": IDENTITY, "-": HALF, "/": THIRD, "\\": TWO_THIRDS,
+    "_": QUARTER, "~": THREE_QUARTERS, "=": HALF,
+}
+CONST_ROTORS = {"I": SIXTH, "J": EIGHTH, "i": QUARTER}
+
 
 def rotor_value(r: Rotor) -> complex:
     """Complex value of a rotor. Quarter-turn multiples are exact."""
@@ -70,6 +79,19 @@ def rotor_mul(a: Rotor, b: Rotor) -> Rotor:
 def rotor_pow(a: Rotor, k: int) -> Rotor:
     """Exact integer power; k may be negative."""
     return Rotor(a.num * k, a.den)
+
+
+def label_rotor(label: str) -> Rotor:
+    """The rotor a table label names: an operator symbol applied to 1, I or J.
+    Labels are chain expressions, so "/I" names the value of `eval "/I"`."""
+    op, operand = label[0], label[1:]
+    return rotor_mul(OPSYM_ROTORS[op], IDENTITY if operand == "1" else CONST_ROTORS[operand])
+
+
+def signature_rows(text: str) -> tuple[tuple[Rotor, ...], ...]:
+    """Chain-row signatures from whitespace-separated operator strings, one
+    rotor per symbol: "++ +-" gives ((IDENTITY, IDENTITY), (IDENTITY, HALF))."""
+    return tuple(tuple(OPSYM_ROTORS[op] for op in ops) for ops in text.split())
 
 
 def nth_roots(n: int) -> list[Rotor]:
@@ -200,19 +222,23 @@ def multiplication_table(elements: list[Rotor]) -> GroupTable:
 
 # --- element families in the orders the reference tables print them ---
 
+def _labels(text: str) -> tuple[Rotor, ...]:
+    """The rotors of whitespace-separated labels."""
+    return tuple(map(label_rotor, text.split()))
+
+
+def _label_rows(text: str) -> tuple[tuple[Rotor, ...], ...]:
+    """One row of rotors per line of labels."""
+    return tuple(map(_labels, text.strip().splitlines()))
+
+
 FAMILY_ORDERS = {
-    "R3": (Rotor(0, 1), Rotor(1, 3), Rotor(2, 3)),
-    "C3": (Rotor(1, 6), Rotor(1, 2), Rotor(5, 6)),
-    "R4": (Rotor(0, 1), Rotor(3, 4), Rotor(1, 4), Rotor(1, 2)),
-    "C4": (Rotor(1, 8), Rotor(3, 8), Rotor(5, 8), Rotor(7, 8)),
-    "union3": (
-        Rotor(0, 1), Rotor(1, 3), Rotor(2, 3),
-        Rotor(1, 6), Rotor(1, 2), Rotor(5, 6),
-    ),
-    "union8": (
-        Rotor(0, 1), Rotor(3, 4), Rotor(1, 4), Rotor(1, 2),
-        Rotor(1, 8), Rotor(7, 8), Rotor(3, 8), Rotor(5, 8),
-    ),
+    "R3": _labels(r"+1 /1 \1"),
+    "C3": _labels(r"+I /I \I"),
+    "R4": _labels("+1 ~1 _1 =1"),
+    "C4": _labels("+J _J =J ~J"),
+    "union3": _labels(r"+1 /1 \1 +I /I \I"),
+    "union8": _labels("+1 ~1 _1 =1 +J ~J _J =J"),
 }
 
 
@@ -224,46 +250,42 @@ def family_elements(name: str) -> list[Rotor]:
         raise InvalidOrder(f"unknown family {name!r}") from None
 
 
-# Reference transcriptions of the printed multiplication tables, as turns.
-# The computed tables are authoritative; these exist to be diffed against.
-# The 8-element transcription is knowingly wrong in five cells (a sixth-turn
-# symbol printed where an eighth-turn product belongs); diff_reference
-# pinpoints them.
-
-def _t(num, den):
-    return Rotor(num, den)
-
+# Reference transcriptions of the printed multiplication tables, in the
+# printed symbols.  The computed tables are authoritative; these exist to be
+# diffed against.  The 8-element transcription is knowingly wrong in five
+# cells (a sixth-turn symbol, +I, =I or ~I, printed where an eighth-turn
+# product belongs); diff_reference pinpoints them.
 
 REFERENCE_TABLES: dict[str, tuple[tuple[Rotor, ...], ...]] = {
-    "R3": (
-        (_t(0, 1), _t(1, 3), _t(2, 3)),
-        (_t(1, 3), _t(2, 3), _t(0, 1)),
-        (_t(2, 3), _t(0, 1), _t(1, 3)),
-    ),
-    "R4": (
-        (_t(0, 1), _t(3, 4), _t(1, 4), _t(1, 2)),
-        (_t(3, 4), _t(1, 2), _t(0, 1), _t(1, 4)),
-        (_t(1, 4), _t(0, 1), _t(1, 2), _t(3, 4)),
-        (_t(1, 2), _t(1, 4), _t(3, 4), _t(0, 1)),
-    ),
-    "union3": (
-        (_t(0, 1), _t(1, 3), _t(2, 3), _t(1, 6), _t(1, 2), _t(5, 6)),
-        (_t(1, 3), _t(2, 3), _t(0, 1), _t(1, 2), _t(5, 6), _t(1, 6)),
-        (_t(2, 3), _t(0, 1), _t(1, 3), _t(5, 6), _t(1, 6), _t(1, 2)),
-        (_t(1, 6), _t(1, 2), _t(5, 6), _t(1, 3), _t(2, 3), _t(0, 1)),
-        (_t(1, 2), _t(5, 6), _t(1, 6), _t(2, 3), _t(0, 1), _t(1, 3)),
-        (_t(5, 6), _t(1, 6), _t(1, 2), _t(0, 1), _t(1, 3), _t(2, 3)),
-    ),
-    "union8": (
-        (_t(0, 1), _t(3, 4), _t(1, 4), _t(1, 2), _t(1, 8), _t(7, 8), _t(3, 8), _t(5, 8)),
-        (_t(3, 4), _t(1, 2), _t(0, 1), _t(1, 4), _t(7, 8), _t(5, 8), _t(1, 8), _t(3, 8)),
-        (_t(1, 4), _t(0, 1), _t(1, 2), _t(3, 4), _t(3, 8), _t(1, 6), _t(2, 3), _t(11, 12)),
-        (_t(1, 2), _t(1, 4), _t(3, 4), _t(0, 1), _t(5, 8), _t(3, 8), _t(7, 8), _t(1, 6)),
-        (_t(1, 8), _t(7, 8), _t(3, 8), _t(5, 8), _t(1, 4), _t(0, 1), _t(1, 2), _t(3, 4)),
-        (_t(7, 8), _t(5, 8), _t(1, 8), _t(3, 8), _t(0, 1), _t(3, 4), _t(1, 4), _t(1, 2)),
-        (_t(3, 8), _t(1, 8), _t(5, 8), _t(11, 12), _t(1, 2), _t(1, 4), _t(3, 4), _t(0, 1)),
-        (_t(5, 8), _t(3, 8), _t(7, 8), _t(1, 8), _t(3, 4), _t(1, 2), _t(0, 1), _t(1, 4)),
-    ),
+    "R3": _label_rows(r"""
+        +1 /1 \1
+        /1 \1 +1
+        \1 +1 /1
+    """),
+    "R4": _label_rows("""
+        +1 ~1 _1 =1
+        ~1 =1 +1 _1
+        _1 +1 =1 ~1
+        =1 _1 ~1 +1
+    """),
+    "union3": _label_rows(r"""
+        +1 /1 \1 +I /I \I
+        /1 \1 +1 /I \I +I
+        \1 +1 /1 \I +I /I
+        +I /I \I /1 \1 +1
+        /I \I +I \1 +1 /1
+        \I +I /I +1 /1 \1
+    """),
+    "union8": _label_rows("""
+        +1 ~1 _1 =1 +J ~J _J =J
+        ~1 =1 +1 _1 ~J =J +J _J
+        _1 +1 =1 ~1 _J +I =I ~I
+        =1 _1 ~1 +1 =J _J ~J +I
+        +J ~J _J =J _1 +1 =1 ~1
+        ~J =J +J _J +1 ~1 _1 =1
+        _J +J =J ~I =1 _1 ~1 +1
+        =J _J ~J +J ~1 =1 +1 _1
+    """),
 }
 
 

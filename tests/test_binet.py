@@ -398,6 +398,16 @@ class TestTermOverflow:
         with pytest.raises(TermOverflow):
             component(TRIB, "C", 2000)
 
+    def test_solve_weights_order2_coefficient_beyond_float_range(self):
+        # c1 * c1 is an exact int past float range
+        with pytest.raises(TermOverflow):
+            solve_weights(Recurrence((1, 10 ** 160), (0, 1)))
+
+    def test_solve_weights_order3_coefficient_beyond_float_range(self):
+        # c2 ** 3 is an exact int past float range
+        with pytest.raises(TermOverflow):
+            solve_weights(Recurrence((1, 1, 10 ** 110), (0, 0, 1)))
+
     def test_m_form_evaluate(self):
         mf = m_form(TETRA)
         with pytest.raises(TermOverflow):

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import rotorcalc
-from rotorcalc.cli import main
+from rotorcalc.cli import _QUARTER_FAMILY_NAMES, _THIRD_FAMILY_NAMES, main
+from rotorcalc.expr import evaluate, parse
+from rotorcalc.unity import rotor_value
 
 
 def run(capsys, *argv):
@@ -55,6 +57,19 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert "error" in err
+
+    def test_deep_nesting_still_parses(self, capsys):
+        code, payload, _ = run_json(capsys, "eval", "(" * 200 + "1" + ")" * 200)
+        assert code == 0
+        assert payload["re"] == 1.0
+
+    @pytest.mark.parametrize("depth", [300, 3000])
+    def test_too_deep_nesting_is_a_parse_error(self, capsys, depth):
+        code, out, err = run(capsys, "eval", "(" * depth + "1" + ")" * depth)
+        assert code == 1
+        assert out == ""
+        assert "ParseError" in err
+        assert "Traceback" not in err
 
 
 class TestRoots:
@@ -177,6 +192,16 @@ class TestSeq:
         assert code == 0
         assert payload["terms"] == []
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_term_past_the_digit_limit(self, capsys, fmt):
+        # 10^4399 has 4400 digits, past Python's int-to-str limit of 4300
+        code, out, err = run(
+            capsys, "seq", "--coeffs", "10", "--seeds", "1", "--count", "4400", "--format", fmt
+        )
+        assert code == 1
+        assert out == ""
+        assert "TermOverflow" in err
+
 
 class TestVerify:
     def test_fibonacci_passes(self, capsys):
@@ -260,6 +285,12 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert "usage error" in err
+
+    def test_labels_are_expressions(self):
+        # a table label evaluates, as a chain expression, to the rotor it names
+        for names in (_THIRD_FAMILY_NAMES, _QUARTER_FAMILY_NAMES):
+            for rotor, label in names.items():
+                assert abs(evaluate(parse(label)) - rotor_value(rotor)) <= 1e-15, label
 
 
 class TestSigma:

@@ -7,6 +7,7 @@ import pytest
 from rotorcalc.errors import (
     ArityMismatch,
     InconsistentSigmas,
+    TermOverflow,
     UnsupportedDegree,
 )
 from rotorcalc.recurrence import CharPoly
@@ -98,6 +99,11 @@ class TestCubicResolvents:
             y_sum = s1 ** 3 + s2 ** 3
             assert abs(y_sum - res.A) <= 1e-8 * (1 + abs(res.A))
 
+    def test_beyond_float_range(self):
+        # c2 ** 3 leaves float range as a float power
+        with pytest.raises(TermOverflow):
+            cubic_resolvents(1, 1, 1e120)
+
 
 class TestCubicRoots:
     def test_integer_factors(self):
@@ -119,6 +125,11 @@ class TestCubicRoots:
             rs = cubic_roots(*c)
             scale = 1 + max(abs(v) for v in c)
             assert max(rs.residuals) <= 1e-8 * scale
+
+    def test_beyond_float_range(self):
+        # B ** 3 with B = 3e200 leaves float range as a float power
+        with pytest.raises(TermOverflow):
+            cubic_roots(1, 1e200, 1)
 
 
 class TestNumericRoots:

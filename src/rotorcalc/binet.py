@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
-from .recurrence import Recurrence, characteristic_polynomial, iterate
+from .recurrence import Recurrence, as_float, characteristic_polynomial, iterate
 from .roots import (
+    CHAIN_ROWS,
     RootSet,
     _cubic_labelled,
     _min_separation,
@@ -32,7 +33,7 @@ from .roots import (
     numeric_roots,
     quadratic_roots,
 )
-from .unity import rotor_value, signature_rows
+from .unity import rotor_value
 
 _INT_SNAP_LIMIT = 2.0 ** 52
 
@@ -91,15 +92,10 @@ class MForm:
         return _power_sum(self.root_weights, self.roots, k).real
 
 
-_M_SIGNATURES = {
-    2: signature_rows("++ +-"),
-    3: signature_rows(r"+++ +/\ +\/"),
-    4: signature_rows("++++ +_~= +=_~ +~=_"),
-}
 # value(sig_j[m]) of every chain row
 _M_VALUES = {
     n: tuple(tuple(rotor_value(s) for s in sig) for sig in sigs)
-    for n, sigs in _M_SIGNATURES.items()
+    for n, sigs in CHAIN_ROWS.items()
 }
 
 
@@ -156,7 +152,7 @@ def solve_weights(rec: Recurrence) -> BinetForm:
     n = rec.order
     xs = iterate(rec, n + 1)
     matrix = [[r ** i for r in rs.roots] + [1 + 0j] for i in range(n + 1)]
-    sol = _solve(matrix, [complex(float(x)) for x in xs])
+    sol = _solve(matrix, [complex(as_float(x)) for x in xs])
     return BinetForm(rs, tuple(sol), rec)
 
 
@@ -199,10 +195,10 @@ def _seed_coefficients(rec: Recurrence, n: int, name: str):
     roots, sigmas, d = _resolvent_roots(rec, n, name)
     _refuse_zero(d, n)
     if n == 2:
-        x0, x1 = rec.seeds
+        x0, x1 = map(as_float, rec.seeds)
         return (complex(x0) / 2.0, (2.0 * x1 - rec.coeffs[1] * x0) / (2.0 * d)), roots
     _, c1, c2 = rec.coeffs
-    x0, x1, x2 = rec.seeds
+    x0, x1, x2 = map(as_float, rec.seeds)
     s1, s2 = sigmas
     n1 = 9.0 * s1 * x2 - 3.0 * (2.0 * c2 * s1 + s2 * s2) * x1 \
         - ((c2 * c2 + 6.0 * c1) * s1 - c2 * s2 * s2) * x0
@@ -256,11 +252,11 @@ def m_form(rec: Recurrence) -> MForm:
     _guard_distinct(_min_separation(labelled), rec)
     if n > 2:
         matrix = [[_power_sum(row, labelled, k) for row in _M_VALUES[n]] for k in range(n)]
-        coeffs = tuple(_solve(matrix, [complex(float(x)) for x in rec.seeds]))
-    return MForm(n, coeffs, _M_SIGNATURES[n], tuple(labelled))
+        coeffs = tuple(_solve(matrix, [complex(as_float(x)) for x in rec.seeds]))
+    return MForm(n, coeffs, CHAIN_ROWS[n], tuple(labelled))
 
 
-# component kind -> (order, chain row of _M_SIGNATURES[order])
+# component kind -> (order, chain row of CHAIN_ROWS[order])
 _CHAINS = {"L": (2, 0), "F": (2, 1), "C": (3, 0), "B": (3, 1), "A": (3, 2)}
 
 

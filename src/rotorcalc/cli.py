@@ -20,7 +20,8 @@ from .expr import evaluate, parse
 from .recurrence import CharPoly, Recurrence, iterate
 from .roots import cubic_resolvents, cubic_roots, numeric_roots, quadratic_roots
 from .unity import (
-    FAMILY_ORDERS, Rotor, diff_reference, family_elements, label_rotor, multiplication_table,
+    FAMILY_ORDERS, REFERENCE_LABELS, REFERENCE_TABLES, diff_reference, family_elements,
+    multiplication_table,
 )
 
 
@@ -195,18 +196,16 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_THIRD_FAMILY_NAMES = {label_rotor(s): s for s in r"+1 /1 \1 +I /I \I".split()}
-# +I, =I and ~I are mixed-family values that appear only in the known-bad
-# reference cells
-_QUARTER_FAMILY_NAMES = {label_rotor(s): s for s in "+1 _1 =1 ~1 +J _J =J ~J +I =I ~I".split()}
-_FAMILY_NAMES = {
-    "R3": _THIRD_FAMILY_NAMES, "C3": _THIRD_FAMILY_NAMES, "union3": _THIRD_FAMILY_NAMES,
-    "R4": _QUARTER_FAMILY_NAMES, "C4": _QUARTER_FAMILY_NAMES, "union8": _QUARTER_FAMILY_NAMES,
-}
+_UNIONS = ("union3", "union8")
 
 
-def _rotor_name(r: Rotor, names: dict) -> str:
-    return names.get(r, str(r))
+def _label_names(group: str) -> dict:
+    """rotor -> label from the reference table of the union family holding the
+    group (the half turn is /I among sixth turns, =1 among eighth turns): its
+    first row prints every element, its known-bad cells the mixed +I, =I, ~I."""
+    union = next(u for u in _UNIONS if set(FAMILY_ORDERS[group]) <= set(FAMILY_ORDERS[u]))
+    cells = [rotor for row in REFERENCE_TABLES[union] for rotor in row]
+    return dict(zip(cells, REFERENCE_LABELS[union].split()))
 
 
 def cmd_table(args) -> int:
@@ -215,14 +214,11 @@ def cmd_table(args) -> int:
         raise _UsageError(
             f"unknown group {group!r}; choose from {', '.join(sorted(FAMILY_ORDERS))}"
         )
-    names = _FAMILY_NAMES[group]
+    names = _label_names(group)
     table = multiplication_table(family_elements(group))
     n = len(table.elements)
-    element_names = [_rotor_name(e, names) for e in table.elements]
-    product_names = [
-        [_rotor_name(table.product_rotor(i, j), names) for j in range(n)]
-        for i in range(n)
-    ]
+    element_names = [names[e] for e in table.elements]
+    product_names = [[names[table.product_rotor(i, j)] for j in range(n)] for i in range(n)]
     if args.format == "csv":
         print(",".join(["*"] + element_names))
         for name, row in zip(element_names, product_names):
@@ -240,15 +236,15 @@ def cmd_table(args) -> int:
             "inverses": table.axiom_report.inverses,
         },
     }
-    if group in ("union3", "union8"):
+    if group in _UNIONS:
         payload["reference_mismatches"] = [
             {
                 "row": d.row,
                 "col": d.col,
                 "row_element": element_names[d.row],
                 "col_element": element_names[d.col],
-                "printed": _rotor_name(d.printed, names),
-                "computed": _rotor_name(d.computed, names),
+                "printed": names[d.printed],
+                "computed": names[d.computed],
             }
             for d in diff_reference(table, group)
         ]

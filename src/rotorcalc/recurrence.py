@@ -10,7 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ArityMismatch, NonConvergent, ZeroDivisionInRatio, ZeroLeadingCoefficient
+from .errors import (
+    ArityMismatch, NonConvergent, TermOverflow, ZeroDivisionInRatio, ZeroLeadingCoefficient,
+)
+
+
+def as_float(value) -> float:
+    """A coefficient, seed or exact term as a float for the closed forms and
+    root solvers; an exact value beyond float range raises TermOverflow."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise TermOverflow("an exact value is beyond float range") from None
 
 
 def _is_integral(value) -> bool:

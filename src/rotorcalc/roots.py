@@ -12,6 +12,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 from .errors import (
     ArityMismatch,
@@ -21,11 +23,25 @@ from .errors import (
     TermOverflow,
     UnsupportedDegree,
 )
-from .recurrence import CharPoly
-from .unity import IDENTITY, THIRD, TWO_THIRDS, rotor_value, signature_rows
+from .recurrence import CharPoly, as_float
+from .unity import THIRD, rotor_pow, rotor_value, signature_rows
 
 _OMEGA = rotor_value(THIRD)
-_OMEGA2 = rotor_value(TWO_THIRDS)
+
+# The chain rows of each degree, one operator symbol per root; row 0 is the
+# symmetric sum.  They turn roots into resolvents, sigma_j = sum_m
+# value(row_j[m]) r_m, here and into the closed forms' chains in `binet`.
+CHAIN_ROWS = {
+    2: signature_rows("++ +-"),
+    3: signature_rows(r"+++ +/\ +\/"),
+    4: signature_rows("++++ +_~= +=_~ +~=_"),
+}
+# The rows of degrees 2 and 3 are orthogonal (1 / 1 \ 1 = 0), so their conjugates
+# invert them: r_m = (c_top + sum_j conj(row_j[m]) sigma_j)/n.  One tuple per root.
+_INVERSE_ROWS = {
+    n: tuple(zip(*[[rotor_value(rotor_pow(r, -1)) for r in row] for row in CHAIN_ROWS[n][1:]]))
+    for n in (2, 3)
+}
 
 
 def _sort_roots(roots):
@@ -70,9 +86,11 @@ def _root_set(raw_roots, poly: CharPoly, method: str) -> RootSet:
     return RootSet(rts, residuals, _min_separation(rts), method)
 
 
-def _quadratic_from_sigma(c1, s1):
-    """The two roots labelled by the resolvent difference sigma1."""
-    return (c1 + s1) / 2.0, (c1 - s1) / 2.0
+def _from_resolvents(c_top, sigmas) -> tuple:
+    """The degree-2 or degree-3 roots labelled by their resolvents, summed as
+    c_top + v1 sigma1 + v2 sigma2 over the conjugate chain rows."""
+    n = len(sigmas) + 1
+    return tuple(reduce(add, map(mul, inverse, sigmas), c_top) / n for inverse in _INVERSE_ROWS[n])
 
 
 def _quadratic_labelled(c0: float, c1: float):
@@ -84,7 +102,7 @@ def _quadratic_labelled(c0: float, c1: float):
     if not math.isfinite(disc):
         raise TermOverflow("the quadratic discriminant is beyond float range")
     sigma1 = cmath.sqrt(complex(disc))
-    return _quadratic_from_sigma(c1, sigma1), sigma1
+    return _from_resolvents(c1, (sigma1,)), sigma1
 
 
 def quadratic_roots(c0: float, c1: float):
@@ -133,19 +151,10 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     return ResolventSet(3, (sigma1, best), A, B)
 
 
-def _cubic_from_sigmas(c2, s1, s2):
-    """The three roots labelled by the resolvent pair (sigma1, sigma2)."""
-    return (
-        (c2 + s1 + s2) / 3.0,
-        (c2 + _OMEGA2 * s1 + _OMEGA * s2) / 3.0,
-        (c2 + _OMEGA * s1 + _OMEGA2 * s2) / 3.0,
-    )
-
-
 def _cubic_labelled(c0: float, c1: float, c2: float):
     """Roots in the labelling tied to (sigma1, sigma2), plus the resolvents."""
     res = cubic_resolvents(c0, c1, c2)
-    return _cubic_from_sigmas(c2, *res.sigmas), res
+    return _from_resolvents(c2, res.sigmas), res
 
 
 def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
@@ -165,7 +174,7 @@ def numeric_roots(p: CharPoly, tol: float = 1e-10) -> RootSet:
     n = p.degree
     if n < 1:
         raise UnsupportedDegree("degree must be at least 1")
-    radius = 1.0 + max(abs(c) for c in p.coeffs)
+    radius = 1.0 + max(abs(as_float(c)) for c in p.coeffs)
     offset = (math.sqrt(5.0) - 1.0) / 2.0  # radians
     zs = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + offset)) for k in range(n)]
     for _ in range(1000):
@@ -180,6 +189,8 @@ def numeric_roots(p: CharPoly, tol: float = 1e-10) -> RootSet:
                 worst = math.inf
                 continue
             delta = p.value(zs[i]) / den
+            if not cmath.isfinite(delta):  # max() below would pass over a NaN
+                raise TermOverflow("a Durand-Kerner update is beyond float range")
             zs[i] -= delta
             worst = max(worst, abs(delta))
         if worst < tol:
@@ -212,13 +223,6 @@ def vieta_residuals(roots: RootSet, p: CharPoly):
     return out
 
 
-_SIGNED_SIGNATURES = {
-    2: signature_rows("+-"),
-    3: signature_rows(r"+/\ +\/"),
-    4: signature_rows("+_~="),
-}
-
-
 def permutation_tables(n: int):
     """Symmetric-sum table plus the signed resolvent tables for degree n.
 
@@ -233,17 +237,14 @@ def permutation_tables(n: int):
         w = len(arr)
         return tuple(tuple(arr[(m - k) % w] for m in range(w)) for k in range(w))
 
-    sym_sig = tuple(IDENTITY for _ in range(n))
+    rows = CHAIN_ROWS[n]
     base = tuple(range(n))
-    tables = [PermutationTable(sym_sig, rotations(base))]
     if n in (2, 3):
-        for sig in _SIGNED_SIGNATURES[n]:
-            tables.append(PermutationTable(sig, rotations(base)))
-    else:
-        sig = _SIGNED_SIGNATURES[4][0]
-        for rest in itertools.permutations((1, 2, 3)):
-            tables.append(PermutationTable(sig, rotations((0,) + rest)))
-    return tables
+        return [PermutationTable(sig, rotations(base)) for sig in rows]
+    return [PermutationTable(rows[0], rotations(base))] + [
+        PermutationTable(rows[1], rotations((0,) + rest))
+        for rest in itertools.permutations((1, 2, 3))
+    ]
 
 
 def sigma_from_roots(roots, table: PermutationTable):
@@ -289,14 +290,10 @@ def roots_from_sigma(c_top: float, sigmas, n: int):
     least squares and rejects inconsistent inputs.
     """
     sigmas = [complex(s) for s in sigmas]
-    if n == 2:
-        if len(sigmas) != 1:
-            raise ArityMismatch("degree 2 takes exactly one sigma")
-        return list(_quadratic_from_sigma(c_top, sigmas[0]))
-    if n == 3:
-        if len(sigmas) != 2:
-            raise ArityMismatch("degree 3 takes exactly two sigmas")
-        return list(_cubic_from_sigmas(c_top, *sigmas))
+    if n in (2, 3):
+        if len(sigmas) != n - 1:
+            raise ArityMismatch(f"degree {n} takes exactly {('one sigma', 'two sigmas')[n - 2]}")
+        return list(_from_resolvents(c_top, sigmas))
     if n == 4:
         if len(sigmas) != 6:
             raise ArityMismatch("degree 4 takes exactly six sigmas")

@@ -232,14 +232,15 @@ def _label_rows(text: str) -> tuple[tuple[Rotor, ...], ...]:
     return tuple(map(_labels, text.strip().splitlines()))
 
 
-FAMILY_ORDERS = {
-    "R3": _labels(r"+1 /1 \1"),
-    "C3": _labels(r"+I /I \I"),
-    "R4": _labels("+1 ~1 _1 =1"),
-    "C4": _labels("+J _J =J ~J"),
-    "union3": _labels(r"+1 /1 \1 +I /I \I"),
-    "union8": _labels("+1 ~1 _1 =1 +J ~J _J =J"),
+FAMILY_LABELS = {
+    "R3": r"+1 /1 \1",
+    "C3": r"+I /I \I",
+    "R4": "+1 ~1 _1 =1",
+    "C4": "+J _J =J ~J",
+    "union3": r"+1 /1 \1 +I /I \I",
+    "union8": "+1 ~1 _1 =1 +J ~J _J =J",
 }
+FAMILY_ORDERS = {name: _labels(text) for name, text in FAMILY_LABELS.items()}
 
 
 def family_elements(name: str) -> list[Rotor]:
@@ -256,27 +257,27 @@ def family_elements(name: str) -> list[Rotor]:
 # cells (a sixth-turn symbol, +I, =I or ~I, printed where an eighth-turn
 # product belongs); diff_reference pinpoints them.
 
-REFERENCE_TABLES: dict[str, tuple[tuple[Rotor, ...], ...]] = {
-    "R3": _label_rows(r"""
+REFERENCE_LABELS = {
+    "R3": r"""
         +1 /1 \1
         /1 \1 +1
         \1 +1 /1
-    """),
-    "R4": _label_rows("""
+    """,
+    "R4": """
         +1 ~1 _1 =1
         ~1 =1 +1 _1
         _1 +1 =1 ~1
         =1 _1 ~1 +1
-    """),
-    "union3": _label_rows(r"""
+    """,
+    "union3": r"""
         +1 /1 \1 +I /I \I
         /1 \1 +1 /I \I +I
         \1 +1 /1 \I +I /I
         +I /I \I /1 \1 +1
         /I \I +I \1 +1 /1
         \I +I /I +1 /1 \1
-    """),
-    "union8": _label_rows("""
+    """,
+    "union8": """
         +1 ~1 _1 =1 +J ~J _J =J
         ~1 =1 +1 _1 ~J =J +J _J
         _1 +1 =1 ~1 _J +I =I ~I
@@ -285,8 +286,9 @@ REFERENCE_TABLES: dict[str, tuple[tuple[Rotor, ...], ...]] = {
         ~J =J +J _J +1 ~1 _1 =1
         _J +J =J ~I =1 _1 ~1 +1
         =J _J ~J +J ~1 =1 +1 _1
-    """),
+    """,
 }
+REFERENCE_TABLES = {name: _label_rows(text) for name, text in REFERENCE_LABELS.items()}
 
 
 @dataclass(frozen=True)

@@ -408,6 +408,22 @@ class TestTermOverflow:
         with pytest.raises(TermOverflow):
             solve_weights(Recurrence((1, 1, 10 ** 110), (0, 0, 1)))
 
+    def test_solve_weights_numeric_roots_beyond_float_range(self):
+        # Durand-Kerner's update is NaN; the roots and weights used to be NaN
+        with pytest.raises(TermOverflow):
+            solve_weights(Recurrence((1, 1, 1, 10 ** 100), (0, 0, 0, 1)))
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_weights(Recurrence((1, 1), (0, 10 ** 400))),
+        lambda: m_form(Recurrence((1, 1, 1), (0, 0, 10 ** 400))),
+        lambda: binet2(Recurrence((1, 1), (0, 10 ** 400)), 3),
+        lambda: binet3(Recurrence((1, 1, 1), (0, 0, 10 ** 400)), 3),
+        lambda: verify(Recurrence((1, 1), (0, 10 ** 400)), 3),
+    ], ids=["solve_weights", "m_form", "binet2", "binet3", "verify"])
+    def test_exact_seed_beyond_float_range(self, call):
+        with pytest.raises(TermOverflow):
+            call()
+
     def test_m_form_evaluate(self):
         mf = m_form(TETRA)
         with pytest.raises(TermOverflow):

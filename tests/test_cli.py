@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import rotorcalc
-from rotorcalc.cli import _QUARTER_FAMILY_NAMES, _THIRD_FAMILY_NAMES, main
+from rotorcalc.cli import main
 from rotorcalc.expr import evaluate, parse
-from rotorcalc.unity import rotor_value
+from rotorcalc.unity import FAMILY_LABELS, REFERENCE_LABELS, label_rotor, rotor_value
 
 
 def run(capsys, *argv):
@@ -288,9 +288,14 @@ class TestTable:
 
     def test_labels_are_expressions(self):
         # a table label evaluates, as a chain expression, to the rotor it names
-        for names in (_THIRD_FAMILY_NAMES, _QUARTER_FAMILY_NAMES):
-            for rotor, label in names.items():
-                assert abs(evaluate(parse(label)) - rotor_value(rotor)) <= 1e-15, label
+        labels = {
+            label
+            for text in [*FAMILY_LABELS.values(), *REFERENCE_LABELS.values()]
+            for label in text.split()
+        }
+        assert {"+I", "=I", "~I"} <= labels  # the mixed cells of union8's reference
+        for label in labels:
+            assert abs(evaluate(parse(label)) - rotor_value(label_rotor(label))) <= 1e-15, label
 
 
 class TestSigma:

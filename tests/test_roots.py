@@ -164,6 +164,15 @@ class TestNumericRoots:
         want = [cmath.exp(2j * cmath.pi * k / 6) for k in range(6)]
         assert match_roots(rs.roots, want) < 1e-9
 
+    @pytest.mark.parametrize("c3", [1e300, 10 ** 100, 10 ** 400],
+                             ids=["1e300", "10**100", "10**400"])
+    def test_beyond_float_range(self, c3):
+        # 1e300 and 10**100: z^4 leaves float range on the start circle, so the
+        # update is NaN, which the convergence test alone would take for
+        # convergence; 10**400: the start radius cannot be a float
+        with pytest.raises(TermOverflow):
+            numeric_roots(CharPoly(4, (1, 1, 1, c3)))
+
 
 class TestVieta:
     def test_quadratic(self):

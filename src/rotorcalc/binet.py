@@ -5,11 +5,11 @@ roots, x_k = sum_m W_m r_m^k (`_power_sum`, the only place a root is raised
 to the k-th power).  The routes differ only in where the weights W come from:
 - `solve_weights`: solved from the first n+1 iterated terms, plus a constant
   weight (any order);
-- `binet2`, `binet3`: the paper's seed coefficients M, closed in the seeds,
-  coefficients and resolvents, folded over the rotor-weighted chain rows
-  sig_j as W_m = sum_j M_j value(sig_j[m]);
-- `m_form`: the same fold, with binet2's M at order 2 and M solved from the
-  seeds at orders 3 and 4;
+- `binet2`, `binet3`, `m_form`: one `MForm`, the paper's rotor-chain expansion
+  sum_j M_j chain_j(k) folded over the chain rows sig_j as
+  W_m = sum_j M_j value(sig_j[m]); M is the paper's seed coefficients, closed
+  in the seeds, coefficients and resolvents (`_seed_form`), except that
+  m_form solves it from the seeds at orders 3 and 4;
 - `component`: one chain row, W_m = value(sig_j[m]), the signed rows divided
   by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
 
@@ -74,19 +74,19 @@ class BinetForm:
 class MForm:
     """x_k = sum_j M_j * chain_j(k), chain_j(k) = sum_m value(sig_j[m]) * roots[m]^k.
 
-    The chains are folded once into one weight per root,
-    W_m = sum_j M_j * value(sig_j[m]), so each term is a single power sum.
+    The rows sig_j are `CHAIN_ROWS[order]`, folded once into one weight per
+    root, W_m = sum_j M_j * value(sig_j[m]), so each term is a single power sum.
     """
 
     order: int
     coefficients: tuple
-    signatures: tuple
+    signatures: tuple = field(init=False)
     roots: tuple
     root_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = [[rotor_value(s) for s in sig] for sig in self.signatures]
-        object.__setattr__(self, "root_weights", _fold(self.coefficients, values))
+        object.__setattr__(self, "signatures", CHAIN_ROWS[self.order])
+        object.__setattr__(self, "root_weights", _fold(self.coefficients, _M_VALUES[self.order]))
 
     def evaluate(self, k: int) -> float:
         return _power_sum(self.root_weights, self.roots, k).real
@@ -185,9 +185,9 @@ def _refuse_zero(divisor, n: int):
         raise DegenerateRoots(f"repeated root: {name} = 0")
 
 
-def _seed_coefficients(rec: Recurrence, n: int, name: str):
-    """The paper's seed coefficients M over the order-n chain rows, and the
-    labelled roots.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
+def _seed_form(rec: Recurrence, n: int, name: str) -> MForm:
+    """The chain form with the paper's seed coefficients M over the order-n
+    chain rows.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
     Order 3: M = (x0/3, -N2/(3D), N1/(3D)) with
     N1 = 9 s1 x2 - 3(2 c2 s1 + s2^2) x1 - ((c2^2 + 6 c1) s1 - c2 s2^2) x0
     and N2 the same with s1 and s2 exchanged.
@@ -196,7 +196,7 @@ def _seed_coefficients(rec: Recurrence, n: int, name: str):
     _refuse_zero(d, n)
     if n == 2:
         x0, x1 = map(as_float, rec.seeds)
-        return (complex(x0) / 2.0, (2.0 * x1 - rec.coeffs[1] * x0) / (2.0 * d)), roots
+        return MForm(n, (complex(x0) / 2.0, (2.0 * x1 - rec.coeffs[1] * x0) / (2.0 * d)), roots)
     _, c1, c2 = rec.coeffs
     x0, x1, x2 = map(as_float, rec.seeds)
     s1, s2 = sigmas
@@ -204,15 +204,7 @@ def _seed_coefficients(rec: Recurrence, n: int, name: str):
         - ((c2 * c2 + 6.0 * c1) * s1 - c2 * s2 * s2) * x0
     n2 = 9.0 * s2 * x2 - 3.0 * (2.0 * c2 * s2 + s1 * s1) * x1 \
         - ((c2 * c2 + 6.0 * c1) * s2 - c2 * s1 * s1) * x0
-    return (x0 / 3.0, -n2 / (3.0 * d), n1 / (3.0 * d)), roots
-
-
-def _binet_at(rec: Recurrence, n: int):
-    """binet2/binet3's root solve and seed coefficients, folded once into one
-    weight per root; returns k -> x_k."""
-    m, roots = _seed_coefficients(rec, n, f"binet{n}")
-    weights = _fold(m, _M_VALUES[n])
-    return lambda k: _power_sum(weights, roots, k).real
+    return MForm(n, (x0 / 3.0, -n2 / (3.0 * d), n1 / (3.0 * d)), roots)
 
 
 def binet2(rec: Recurrence, k: int) -> float:
@@ -221,7 +213,7 @@ def binet2(rec: Recurrence, k: int) -> float:
     x_k = ((2 x1 - c1 x0)/2) * (r1^k - r2^k)/sigma1 + (x0/2) * (r1^k + r2^k)
     with sigma1 = sqrt(c1^2 + 4 c0), r1,r2 = (c1 +/- sigma1)/2.
     """
-    return _binet_at(rec, 2)(k)
+    return _seed_form(rec, 2, "binet2").evaluate(k)
 
 
 def binet3(rec: Recurrence, k: int) -> float:
@@ -229,10 +221,10 @@ def binet3(rec: Recurrence, k: int) -> float:
 
     With D = sigma1^3 - sigma2^3, the rotor-weighted power chains
     P_k = r1^k + w r2^k + w^2 r3^k and Q_k = r1^k + w^2 r2^k + w r3^k
-    (w the primitive cube root) and N1, N2 as in `_seed_coefficients`,
+    (w the primitive cube root) and N1, N2 as in `_seed_form`,
     x_k = (N1/3)(Q_k/D) - (N2/3)(P_k/D) + (x0/3)(r1^k + r2^k + r3^k).
     """
-    return _binet_at(rec, 3)(k)
+    return _seed_form(rec, 3, "binet3").evaluate(k)
 
 
 def m_form(rec: Recurrence) -> MForm:
@@ -246,14 +238,14 @@ def m_form(rec: Recurrence) -> MForm:
     if n not in (2, 3, 4):
         raise UnsupportedDegree(f"rotor expansion covers orders 2-4, not {n}")
     if n == 2:
-        coeffs, labelled = _seed_coefficients(rec, 2, "m_form")
-    else:
-        labelled = _cubic_labelled(*rec.coeffs)[0] if n == 3 else _rootset_for(rec).roots
+        form = _seed_form(rec, 2, "m_form")
+        _guard_distinct(_min_separation(form.roots), rec)
+        return form
+    labelled = _cubic_labelled(*rec.coeffs)[0] if n == 3 else _rootset_for(rec).roots
     _guard_distinct(_min_separation(labelled), rec)
-    if n > 2:
-        matrix = [[_power_sum(row, labelled, k) for row in _M_VALUES[n]] for k in range(n)]
-        coeffs = tuple(_solve(matrix, [complex(as_float(x)) for x in rec.seeds]))
-    return MForm(n, coeffs, CHAIN_ROWS[n], tuple(labelled))
+    matrix = [[_power_sum(row, labelled, k) for row in _M_VALUES[n]] for k in range(n)]
+    coeffs = tuple(_solve(matrix, [complex(as_float(x)) for x in rec.seeds]))
+    return MForm(n, coeffs, tuple(labelled))
 
 
 # component kind -> (order, chain row of CHAIN_ROWS[order])
@@ -305,7 +297,7 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
     form = solve_weights(rec)
     evaluators["weights"] = lambda k: closed_term(form, k).value
     if rec.order in (2, 3):
-        evaluators[f"binet{rec.order}"] = _binet_at(rec, rec.order)
+        evaluators[f"binet{rec.order}"] = _seed_form(rec, rec.order, f"binet{rec.order}").evaluate
     if rec.order in (2, 3, 4):
         evaluators["m_form"] = m_form(rec).evaluate
 

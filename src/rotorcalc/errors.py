@@ -22,19 +22,12 @@ class ZeroResultant(DomainError):
     """Vector sum has (numerically) zero length; its angle is undefined."""
 
 
-class SpanError(DomainError):
-    """Text-processing failure carrying a byte span into the source."""
-
-    def __init__(self, message: str, span: tuple[int, int]):
-        super().__init__(f"{message} at {span[0]}..{span[1]}")
-        self.span = span
-
-
-class ParseError(SpanError):
-    """Token stream does not match the grammar."""
+class ParseError(DomainError):
+    """Token stream does not match the grammar at a byte span of the source."""
 
     def __init__(self, message: str, span: tuple[int, int], expected: frozenset[str] = frozenset()):
-        super().__init__(message, span)
+        super().__init__(f"{message} at {span[0]}..{span[1]}")
+        self.span = span
         self.expected = expected
 
 

@@ -98,7 +98,6 @@ def iterate(rec: Recurrence, count: int):
     else:
         window = [float(x) for x in rec.seeds]
         coeffs = [float(c) for c in rec.coeffs]
-    n = rec.order
     out = list(window[:count])
     while len(out) < count:
         nxt = sum(c * x for c, x in zip(coeffs, window))

@@ -67,8 +67,8 @@ class RootSet:
 class ResolventSet:
     degree: int
     sigmas: tuple
-    A: float | None = None
-    B: float | None = None
+    A: float
+    B: float
 
 
 @dataclass(frozen=True)

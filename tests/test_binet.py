@@ -6,6 +6,7 @@ import pytest
 import rotorcalc.binet
 import rotorcalc.roots
 from rotorcalc.binet import (
+    MForm,
     _power_sum,
     _solve,
     binet2,
@@ -25,7 +26,7 @@ from rotorcalc.errors import (
     UnsupportedDegree,
 )
 from rotorcalc.recurrence import Recurrence, iterate
-from rotorcalc.roots import cubic_resolvents
+from rotorcalc.roots import CHAIN_ROWS, cubic_resolvents
 
 FIB = Recurrence((1, 1), (0, 1))
 LUCAS = Recurrence((1, 1), (2, 1))
@@ -222,6 +223,51 @@ class TestMForm:
         assert all(len(sig) == 4 for sig in mf.signatures)
         assert len(mf.coefficients) == 4
         assert len(mf.roots) == 4
+
+    def test_binet2_is_the_order2_form_bitwise(self):
+        rng = random.Random(606)
+        checked = 0
+        while checked < 200:
+            rec = random_integral(rng, 2)
+            try:
+                mf = m_form(rec)
+            except DomainError:
+                continue
+            for k in (0, 1, 2, 7, 30, 90):
+                assert binet2(rec, k).hex() == mf.evaluate(k).hex(), (rec, k)
+            checked += 1
+
+    def test_rows_come_from_the_order(self):
+        for rec in (FIB, TRIB, TETRA):
+            assert m_form(rec).signatures is CHAIN_ROWS[rec.order]
+
+    def test_repr_is_stable(self):
+        # pinned: seeded sweeps compare this repr across versions of the code
+        assert repr(m_form(FIB)) == (
+            "MForm(order=2, coefficients=(0j, (0.4472135954999579+0j)), "
+            "signatures=((Rotor(num=0, den=1), Rotor(num=0, den=1)), "
+            "(Rotor(num=0, den=1), Rotor(num=1, den=2))), "
+            "roots=((1.618033988749895+0j), (-0.6180339887498949+0j)))"
+        )
+        assert repr(m_form(TRIB)) == (
+            "MForm(order=3, coefficients=((-1.3814438371530488e-33-3.732881970141444e-17j), "
+            "(0.28261655416012327+1.4256235781270036e-16j), "
+            "(0.053611562834817904-1.065273094564336e-16j)), "
+            "signatures=((Rotor(num=0, den=1), Rotor(num=0, den=1), Rotor(num=0, den=1)), "
+            "(Rotor(num=0, den=1), Rotor(num=1, den=3), Rotor(num=2, den=3)), "
+            "(Rotor(num=0, den=1), Rotor(num=2, den=3), Rotor(num=1, den=3))), "
+            "roots=((1.839286755214161+0j), (-0.4196433776070809-0.606290729207199j), "
+            "(-0.4196433776070805+0.6062907292071994j)))"
+        )
+
+    def test_equality_ignores_root_weights(self):
+        mf = m_form(TRIB)
+        twin = MForm(mf.order, mf.coefficients, mf.roots)
+        assert twin == mf
+        assert twin.root_weights == mf.root_weights
+        object.__setattr__(twin, "root_weights", (0j, 0j, 0j))
+        assert twin == mf
+        assert MForm(mf.order, mf.coefficients[::-1], mf.roots) != mf
 
     def test_agrees_with_weights_path(self):
         rng = random.Random(777)

@@ -119,6 +119,26 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("")
 
+    def test_error_message_and_expected_kinds(self):
+        cases = {
+            "rot(1 3)": ("expected comma, found '3' at 6..7", {"comma"}),
+            "(1": ("expected rparen, found 'end of input' at 2..2", {"rparen"}),
+            "2 *": ("at 3..3", {"(", "I", "J", "i", "number", "rot"}),
+        }
+        for text, (tail, expected) in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert type(err.value) is ParseError, text
+            assert str(err.value).endswith(tail), text
+            assert err.value.expected == frozenset(expected), text
+
+    def test_lex_error_is_a_parse_error_with_span_message(self):
+        with pytest.raises(ParseError) as err:
+            tokenize("2 + Kx")
+        assert isinstance(err.value, LexError)
+        assert str(err.value) == "unknown name 'Kx' at 4..6"
+        assert err.value.expected == frozenset()
+
 
 class TestEvaluate:
     def test_cube_root_identity(self):

@@ -3,8 +3,8 @@
 Every closed form here is one weighted power sum over the characteristic
 roots, x_k = sum_m W_m r_m^k (`_power_sum`, the only place a root is raised
 to the k-th power).  The routes differ only in where the weights W come from:
-- `solve_weights`: solved from the first n+1 iterated terms, plus a constant
-  weight (any order);
+- `solve_weights`: a `BinetForm`, solved from the first n+1 iterated terms,
+  plus a constant weight (any order);
 - `binet2`, `binet3`, `m_form`: one `MForm`, the paper's rotor-chain expansion
   sum_j M_j chain_j(k) folded over the chain rows sig_j as
   W_m = sum_j M_j value(sig_j[m]); M is the paper's seed coefficients, closed
@@ -13,7 +13,7 @@ to the k-th power).  The routes differ only in where the weights W come from:
 - `component`: one chain row, W_m = value(sig_j[m]), the signed rows divided
   by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
 
-`verify` cross-checks all routes that apply against exact iteration.
+`verify` checks each applicable form through its `evaluate(k)` against iteration.
 """
 from __future__ import annotations
 
@@ -69,6 +69,9 @@ class BinetForm:
     weights: tuple
     source: Recurrence
 
+    def evaluate(self, k: int) -> complex:
+        return _power_sum(self.weights, self.roots.roots, k) + self.weights[-1]
+
 
 @dataclass(frozen=True)
 class MForm:
@@ -85,6 +88,10 @@ class MForm:
     root_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.order not in CHAIN_ROWS:
+            raise UnsupportedDegree(f"chain rows cover orders 2-4, not {self.order}")
+        if not len(self.coefficients) == len(self.roots) == self.order:
+            raise ArityMismatch(f"order {self.order} needs {self.order} coefficients and roots")
         object.__setattr__(self, "signatures", CHAIN_ROWS[self.order])
         object.__setattr__(self, "root_weights", _fold(self.coefficients, _M_VALUES[self.order]))
 
@@ -159,7 +166,7 @@ def solve_weights(rec: Recurrence) -> BinetForm:
 def closed_term(form: BinetForm, k: int) -> TermValue:
     """Evaluate the weights form at k; integral sources also get the nearest
     integer and the distance to it (within exact-float range)."""
-    value = _power_sum(form.weights, form.roots.roots, k) + form.weights[-1]
+    value = form.evaluate(k)
     if form.source.integral and abs(value.real) < _INT_SNAP_LIMIT:
         nearest = round(value.real)
         return TermValue(value, nearest, abs(value - nearest))
@@ -199,11 +206,11 @@ def _seed_form(rec: Recurrence, n: int, name: str) -> MForm:
         return MForm(n, (complex(x0) / 2.0, (2.0 * x1 - rec.coeffs[1] * x0) / (2.0 * d)), roots)
     _, c1, c2 = rec.coeffs
     x0, x1, x2 = map(as_float, rec.seeds)
-    s1, s2 = sigmas
-    n1 = 9.0 * s1 * x2 - 3.0 * (2.0 * c2 * s1 + s2 * s2) * x1 \
-        - ((c2 * c2 + 6.0 * c1) * s1 - c2 * s2 * s2) * x0
-    n2 = 9.0 * s2 * x2 - 3.0 * (2.0 * c2 * s2 + s1 * s1) * x1 \
-        - ((c2 * c2 + 6.0 * c1) * s2 - c2 * s1 * s1) * x0
+
+    def numerator(s1, s2):
+        return 9.0 * s1 * x2 - 3.0 * (2.0 * c2 * s1 + s2 * s2) * x1 \
+            - ((c2 * c2 + 6.0 * c1) * s1 - c2 * s2 * s2) * x0
+    n1, n2 = numerator(*sigmas), numerator(*reversed(sigmas))
     return MForm(n, (x0 / 3.0, -n2 / (3.0 * d), n1 / (3.0 * d)), roots)
 
 
@@ -292,24 +299,16 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    exact = iterate(rec, kmax + 1)
-    evaluators = {}
-    form = solve_weights(rec)
-    evaluators["weights"] = lambda k: closed_term(form, k).value
+    forms = {"weights": solve_weights(rec)}
     if rec.order in (2, 3):
-        evaluators[f"binet{rec.order}"] = _seed_form(rec, rec.order, f"binet{rec.order}").evaluate
+        forms[f"binet{rec.order}"] = _seed_form(rec, rec.order, f"binet{rec.order}")
     if rec.order in (2, 3, 4):
-        evaluators["m_form"] = m_form(rec).evaluate
+        forms["m_form"] = m_form(rec)
+    # after the forms, so a solver error is reported ahead of an exact term's overflow
+    exact = [as_float(x) for x in iterate(rec, kmax + 1)]
 
     paths = {}
-    for name, fn in evaluators.items():
-        worst = 0.0
-        for k, want in enumerate(exact):
-            got = fn(k)
-            try:
-                err = abs(got - want) / max(1.0, abs(want))
-            except OverflowError:
-                raise TermOverflow(f"x_{k} is beyond float range") from None
-            worst = max(worst, err)
+    for name, form in forms.items():
+        worst = max(abs(form.evaluate(k) - x) / max(1.0, abs(x)) for k, x in enumerate(exact))
         paths[name] = PathCheck(worst, worst <= rel_tol)
     return VerifyReport(kmax, rel_tol, paths, all(p.passed for p in paths.values()))

@@ -103,6 +103,10 @@ def _sigma_block(coeffs) -> dict:
     }
 
 
+def _root_list(rs) -> list:
+    return [{"re": r.real, "im": r.imag, "residual": res} for r, res in zip(rs.roots, rs.residuals)]
+
+
 def cmd_roots(args) -> int:
     coeffs = _parse_numbers(args.coeffs, "--coeffs")
     if not coeffs:
@@ -121,10 +125,7 @@ def cmd_roots(args) -> int:
     payload = {
         "degree": n,
         "method": rs.method,
-        "roots": [
-            {"re": r.real, "im": r.imag, "residual": res}
-            for r, res in zip(rs.roots, rs.residuals)
-        ],
+        "roots": _root_list(rs),
         "min_separation": rs.min_separation if n > 1 else None,
     }
     if n in (2, 3):
@@ -139,10 +140,7 @@ def cmd_solve(args) -> int:
     _emit({
         "order": rec.order,
         "method": form.roots.method,
-        "roots": [
-            {"re": r.real, "im": r.imag, "residual": res}
-            for r, res in zip(form.roots.roots, form.roots.residuals)
-        ],
+        "roots": _root_list(form.roots),
         "weights": [_cplx(w) for w in form.weights],
     })
     return 0

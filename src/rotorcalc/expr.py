@@ -83,8 +83,7 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
-            m = _NUMBER.match(text, pos)
+        if (m := _NUMBER.match(text, pos)) is not None:
             tokens.append(Token("number", m.group(), (pos, m.end())))
             pos = m.end()
             continue
@@ -213,7 +212,10 @@ class _Parser:
         if tok is None or tok.kind != "number" or not tok.lexeme.isdigit():
             self.fail({"integer"})
         self.next()
-        return sign * int(tok.lexeme)
+        try:
+            return sign * int(tok.lexeme)
+        except ValueError:  # past Python's int-from-decimal-string digit limit
+            raise ParseError("integer literal too long", tok.span) from None
 
 
 def parse(text: str) -> Expr:

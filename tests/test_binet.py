@@ -120,6 +120,25 @@ class TestClosedTerm:
         assert tv.nearest is None
         assert tv.distance is None
 
+    def test_value_is_the_form_evaluated_bitwise(self):
+        rng = random.Random(4242)
+        checked = 0
+        while checked < 200:
+            order = 2 + checked % 4
+            rec = random_integral(rng, order) if checked // 4 % 2 else Recurrence(
+                tuple(rng.randint(-12, 12) / 4 for _ in range(order)),
+                tuple(rng.randint(-12, 12) / 4 for _ in range(order)),
+            )
+            try:
+                form = solve_weights(rec)
+            except DomainError:
+                continue
+            for k in (0, 1, 4, 17, 60):
+                want = closed_term(form, k).value
+                got = form.evaluate(k)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            checked += 1
+
     def test_snap_matches_exact_iterate(self):
         rng = random.Random(6021)
         checked = 0
@@ -285,6 +304,20 @@ class TestMForm:
                 assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
             checked += 1
 
+    @pytest.mark.parametrize("order", [1, 5])
+    def test_constructor_refuses_an_order_without_chain_rows(self, order):
+        with pytest.raises(UnsupportedDegree):
+            MForm(order, (1,) * order, (1,) * order)
+
+    @pytest.mark.parametrize("coefficients, roots", [
+        ((1,), (1, 2)),
+        ((1, 2), (1,)),
+        ((1, 2, 3), (1, 2)),
+    ])
+    def test_constructor_refuses_a_tuple_of_the_wrong_length(self, coefficients, roots):
+        with pytest.raises(ArityMismatch):
+            MForm(2, coefficients, roots)
+
     def test_unsupported_orders(self):
         with pytest.raises(UnsupportedDegree):
             m_form(Recurrence((2,), (1,)))
@@ -368,6 +401,18 @@ class TestVerify:
         assert report.passed
         # weights, binet3 and m_form: one closed3 solve each, however large kmax
         assert len(calls) == 3
+
+    def test_checks_the_forms_without_snapping_terms(self, monkeypatch):
+        calls = []
+        original = rotorcalc.binet.closed_term
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(rotorcalc.binet, "closed_term", counted)
+        for rec in (FIB, TRIB, TETRA, Recurrence((1, 0, 0, 1, 1), (0, 1, 2, 3, 4))):
+            assert verify(rec, 20, 1e-6).passed
+        assert calls == []
 
     def test_failing_tolerance_reports_false(self):
         report = verify(FIB, 70, 1e-18)
@@ -478,6 +523,11 @@ class TestTermOverflow:
     def test_verify(self):
         with pytest.raises(TermOverflow):
             verify(FIB, 1600)
+
+    def test_verify_reports_a_solver_error_ahead_of_an_exact_overflow(self):
+        # (x-1)^2 with a seed past float range: the double root is reported
+        with pytest.raises(DegenerateRoots):
+            verify(Recurrence((-1, 2), (0, 10 ** 400)), 3)
 
     def test_verify_against_an_exact_term_beyond_float_range(self, monkeypatch):
         # a finite closed form compared with an exact int too large for a float

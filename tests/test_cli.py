@@ -52,6 +52,21 @@ class TestEval:
         assert out == ""
         assert "2..3" in err
 
+    def test_superscript_digit_is_a_lex_error(self, capsys):
+        code, out, err = run(capsys, "eval", "²")
+        assert code == 1
+        assert out == ""
+        assert err == "error: LexError: unrecognized character '²' at 0..1\n"
+
+    @pytest.mark.parametrize(
+        "text", ["2^" + "1" * 5000, "rot(" + "1" * 5000 + ",3)"], ids=["exponent", "rot"]
+    )
+    def test_integer_literal_past_the_digit_limit(self, capsys, text):
+        code, out, err = run(capsys, "eval", text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError: integer literal too long at ")
+
     def test_unbalanced(self, capsys):
         code, out, err = run(capsys, "eval", "(1 / 2")
         assert code == 1

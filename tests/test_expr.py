@@ -63,6 +63,16 @@ class TestTokenize:
         with pytest.raises(LexError):
             tokenize("2 + α")
 
+    def test_digit_that_is_not_a_decimal_digit(self):
+        # "²".isdigit() is true, but the number pattern's \d does not match it
+        with pytest.raises(LexError) as err:
+            tokenize("²")
+        assert str(err.value) == "unrecognized character '²' at 0..1"
+
+    def test_decimal_digits_of_other_scripts_are_numbers(self):
+        assert [t.kind for t in tokenize("٣+1")] == ["number", "opsym", "number"]
+        assert evaluate(parse("٣ + 1")) == 4
+
 
 class TestParse:
     def test_bare_number(self):
@@ -118,6 +128,19 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("")
+
+    @pytest.mark.parametrize("text, span", [
+        ("2^" + "1" * 5000, (2, 5002)),
+        ("2^-" + "1" * 5000, (3, 5003)),
+        ("rot(" + "1" * 5000 + ",3)", (4, 5004)),
+        ("rot(1," + "1" * 5000 + ")", (6, 5006)),
+    ], ids=["exponent", "negative exponent", "rot numerator", "rot denominator"])
+    def test_integer_literal_past_the_digit_limit(self, text, span):
+        # Python refuses int() of a decimal string longer than 4300 digits
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"integer literal too long at {span[0]}..{span[1]}"
+        assert err.value.span == span
 
     def test_error_message_and_expected_kinds(self):
         cases = {

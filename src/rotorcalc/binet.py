@@ -18,10 +18,10 @@ to the k-th power).  The routes differ only in where the weights W come from:
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
+from .record import Record
 from .recurrence import Recurrence, as_float, characteristic_polynomial, iterate
 from .roots import (
     CHAIN_ROWS,
@@ -54,46 +54,51 @@ def _fold(coefficients, values) -> tuple:
     return tuple(sum(map(mul, coefficients, col)) for col in zip(*values))
 
 
-@dataclass(frozen=True)
-class TermValue:
-    value: complex
-    nearest: int | None = None
-    distance: float | None = None
+class TermValue(Record):
+    __slots__ = _fields = ("value", "nearest", "distance")
+
+    def __init__(self, value: complex, nearest: int | None = None, distance: float | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "nearest", nearest)
+        object.__setattr__(self, "distance", distance)
 
 
-@dataclass(frozen=True)
-class BinetForm:
+class BinetForm(Record):
     """x_k = sum(weights[j] * roots[j]^k) + weights[-1]."""
 
-    roots: RootSet
-    weights: tuple
-    source: Recurrence
+    __slots__ = _fields = ("roots", "weights", "source")
+
+    def __init__(self, roots: RootSet, weights: tuple, source: Recurrence):
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "source", source)
 
     def evaluate(self, k: int) -> complex:
         return _power_sum(self.weights, self.roots.roots, k) + self.weights[-1]
 
 
-@dataclass(frozen=True)
-class MForm:
+class MForm(Record):
     """x_k = sum_j M_j * chain_j(k), chain_j(k) = sum_m value(sig_j[m]) * roots[m]^k.
 
     The rows sig_j are `CHAIN_ROWS[order]`, folded once into one weight per
     root, W_m = sum_j M_j * value(sig_j[m]), so each term is a single power sum.
+    `signatures` and `root_weights` are computed, not passed; `root_weights`
+    is left out of repr, equality and hash.
     """
 
-    order: int
-    coefficients: tuple
-    signatures: tuple = field(init=False)
-    roots: tuple
-    root_weights: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("order", "coefficients", "signatures", "roots")
+    __slots__ = _fields + ("root_weights",)
 
-    def __post_init__(self):
-        if self.order not in CHAIN_ROWS:
-            raise UnsupportedDegree(f"chain rows cover orders 2-4, not {self.order}")
-        if not len(self.coefficients) == len(self.roots) == self.order:
-            raise ArityMismatch(f"order {self.order} needs {self.order} coefficients and roots")
-        object.__setattr__(self, "signatures", CHAIN_ROWS[self.order])
-        object.__setattr__(self, "root_weights", _fold(self.coefficients, _M_VALUES[self.order]))
+    def __init__(self, order: int, coefficients: tuple, roots: tuple):
+        if order not in CHAIN_ROWS:
+            raise UnsupportedDegree(f"chain rows cover orders 2-4, not {order}")
+        if not len(coefficients) == len(roots) == order:
+            raise ArityMismatch(f"order {order} needs {order} coefficients and roots")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "signatures", CHAIN_ROWS[order])
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "root_weights", _fold(coefficients, _M_VALUES[order]))
 
     def evaluate(self, k: int) -> float:
         return _power_sum(self.root_weights, self.roots, k).real
@@ -186,9 +191,22 @@ def _resolvent_roots(rec: Recurrence, n: int, name: str):
     return roots, res.sigmas, s1 ** 3 - s2 ** 3
 
 
-def _refuse_zero(divisor, n: int):
-    if divisor == 0:
-        name = "sigma1" if n == 2 else "D = sigma1^3 - sigma2^3"
+def _exact_discriminant(coeffs) -> int:
+    """The divisor's square in integers: sigma1^2 = c1^2 + 4 c0 at order 2,
+    D^2 = A^2 - 4 B^3 at order 3 (A, B as in `cubic_resolvents`)."""
+    c = [int(x) for x in coeffs]
+    if len(c) == 2:
+        return c[1] * c[1] + 4 * c[0]
+    a = 2 * c[2] ** 3 + 9 * c[1] * c[2] + 27 * c[0]
+    b = c[2] * c[2] + 3 * c[1]
+    return a * a - 4 * b ** 3
+
+
+def _refuse_zero(rec: Recurrence, divisor):
+    """Refuse a repeated root: a zero divisor, or, for integral coefficients,
+    a zero exact discriminant (rounding can leave D near 0 but not at it)."""
+    if divisor == 0 or (rec.integral and _exact_discriminant(rec.coeffs) == 0):
+        name = "sigma1" if rec.order == 2 else "D = sigma1^3 - sigma2^3"
         raise DegenerateRoots(f"repeated root: {name} = 0")
 
 
@@ -200,7 +218,7 @@ def _seed_form(rec: Recurrence, n: int, name: str) -> MForm:
     and N2 the same with s1 and s2 exchanged.
     """
     roots, sigmas, d = _resolvent_roots(rec, n, name)
-    _refuse_zero(d, n)
+    _refuse_zero(rec, d)
     if n == 2:
         x0, x1 = map(as_float, rec.seeds)
         return MForm(n, (complex(x0) / 2.0, (2.0 * x1 - rec.coeffs[1] * x0) / (2.0 * d)), roots)
@@ -272,22 +290,26 @@ def component(rec: Recurrence, kind: str, k: int) -> complex:
     roots, _, d = _resolvent_roots(rec, n, f"component {kind}")
     if row == 0:
         return _power_sum(_M_VALUES[n][0], roots, k)
-    _refuse_zero(d, n)
+    _refuse_zero(rec, d)
     return _power_sum(_M_VALUES[n][row], roots, k) / d
 
 
-@dataclass(frozen=True)
-class PathCheck:
-    max_rel_err: float
-    passed: bool
+class PathCheck(Record):
+    __slots__ = _fields = ("max_rel_err", "passed")
+
+    def __init__(self, max_rel_err: float, passed: bool):
+        object.__setattr__(self, "max_rel_err", max_rel_err)
+        object.__setattr__(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    kmax: int
-    rel_tol: float
-    paths: dict
-    passed: bool
+class VerifyReport(Record):
+    __slots__ = _fields = ("kmax", "rel_tol", "paths", "passed")
+
+    def __init__(self, kmax: int, rel_tol: float, paths: dict, passed: bool):
+        object.__setattr__(self, "kmax", kmax)
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "passed", passed)
 
 
 def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:

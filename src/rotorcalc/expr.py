@@ -16,58 +16,73 @@ Grammar:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
 
 from .errors import EvaluationError, LexError, ParseError
+from .record import Record
 from .unity import CONST_ROTORS, OPSYM_ROTORS, Rotor, rotor_value
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number | opsym | star | caret | lparen | rparen | ident | rotkw | comma
-    lexeme: str
-    span: tuple[int, int]
+class Token(Record):
+    __slots__ = _fields = ("kind", "lexeme", "span")
+
+    def __init__(self, kind: str, lexeme: str, span: tuple[int, int]):
+        # kind: number | opsym | star | caret | lparen | rparen | ident | rotkw | comma
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lexeme", lexeme)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Number:
-    value: float
+class Number(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str  # I | J | i
+class Const(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):  # I | J | i
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Rot:
+class Rot(Record):
     """A rot(num,den) literal, kept as written; canonicalized at evaluation."""
 
-    num: int
-    den: int
+    __slots__ = _fields = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Mul(Record):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Pow(Record):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Alternating opsym/term sequence; the first opsym may be an explicit unary."""
 
-    items: tuple[tuple[str, "Expr"], ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[tuple[str, Expr], ...]):
+        object.__setattr__(self, "items", items)
 
 
-Expr = Union[Number, Const, Rot, Mul, Pow, Chain]
+# The expression-tree node types (`Expr` in annotations).
+Expr = (Number, Const, Rot, Mul, Pow, Chain)
 
 _NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _WORD = re.compile(r"[A-Za-z]+")

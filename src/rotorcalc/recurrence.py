@@ -7,12 +7,12 @@ all-integer case runs in exact arbitrary-precision arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     ArityMismatch, NonConvergent, TermOverflow, ZeroDivisionInRatio, ZeroLeadingCoefficient,
 )
+from .record import Record
 
 
 def as_float(value) -> float:
@@ -28,42 +28,41 @@ def _is_integral(value) -> bool:
     return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
-@dataclass(frozen=True)
-class Recurrence:
-    """x_{k+n} = c_{n-1} x_{k+n-1} + ... + c_0 x_k with seeds x_0..x_{n-1}."""
+class Recurrence(Record):
+    """x_{k+n} = c_{n-1} x_{k+n-1} + ... + c_0 x_k with seeds x_0..x_{n-1}.
 
-    coeffs: tuple
-    seeds: tuple
-    integral: bool = field(init=False)
+    `integral` (every coefficient and seed an integer) is computed, not passed.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if len(self.coeffs) < 1:
+    __slots__ = _fields = ("coeffs", "seeds", "integral")
+
+    def __init__(self, coeffs, seeds):
+        coeffs, seeds = tuple(coeffs), tuple(seeds)
+        if len(coeffs) < 1:
             raise ArityMismatch("recurrence needs at least one coefficient")
-        if len(self.seeds) != len(self.coeffs):
+        if len(seeds) != len(coeffs):
             raise ArityMismatch(
-                f"{len(self.coeffs)} coefficients need {len(self.coeffs)} seeds, "
-                f"got {len(self.seeds)}"
+                f"{len(coeffs)} coefficients need {len(coeffs)} seeds, got {len(seeds)}"
             )
-        integral = all(_is_integral(v) for v in self.coeffs + self.seeds)
-        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "integral", all(_is_integral(v) for v in coeffs + seeds))
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """Monic characteristic polynomial x^n = c_{n-1} x^(n-1) + ... + c_0."""
 
-    degree: int
-    coeffs: tuple  # c_0..c_{n-1}
+    __slots__ = _fields = ("degree", "coeffs")
 
-    def __post_init__(self):
-        if self.degree != len(self.coeffs):
+    def __init__(self, degree: int, coeffs: tuple):  # c_0..c_{n-1}
+        if degree != len(coeffs):
             raise ArityMismatch("degree must equal the coefficient count")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def value(self, z: complex) -> complex:
         """p(z) = z^n - c_{n-1} z^(n-1) - ... - c_0, by Horner."""

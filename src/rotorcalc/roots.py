@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 
@@ -23,6 +22,7 @@ from .errors import (
     TermOverflow,
     UnsupportedDegree,
 )
+from .record import Record
 from .recurrence import CharPoly, as_float
 from .unity import THIRD, rotor_pow, rotor_value, signature_rows
 
@@ -55,29 +55,35 @@ def _min_separation(roots) -> float:
     return min(abs(a - b) for a, b in itertools.combinations(roots, 2))
 
 
-@dataclass(frozen=True)
-class RootSet:
-    roots: tuple          # sorted by the modulus/real/imag convention
-    residuals: tuple      # |p(r)| per root, same order
-    min_separation: float
-    method: str           # "closed2" | "closed3" | "numeric"
+class RootSet(Record):
+    __slots__ = _fields = ("roots", "residuals", "min_separation", "method")
+
+    def __init__(self, roots: tuple, residuals: tuple, min_separation: float, method: str):
+        object.__setattr__(self, "roots", roots)  # sorted by the modulus/real/imag convention
+        object.__setattr__(self, "residuals", residuals)  # |p(r)| per root, same order
+        object.__setattr__(self, "min_separation", min_separation)
+        object.__setattr__(self, "method", method)  # "closed2" | "closed3" | "numeric"
 
 
-@dataclass(frozen=True)
-class ResolventSet:
-    degree: int
-    sigmas: tuple
-    A: float
-    B: float
+class ResolventSet(Record):
+    __slots__ = _fields = ("degree", "sigmas", "A", "B")
+
+    def __init__(self, degree: int, sigmas: tuple, A: float, B: float):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
 
-@dataclass(frozen=True)
-class PermutationTable:
+class PermutationTable(Record):
     """Rows are cyclic arrangements of root indices; the signature gives the
     rotor weight applied at each column position."""
 
-    signature: tuple      # of Rotor
-    rows: tuple           # of index tuples
+    __slots__ = _fields = ("signature", "rows")
+
+    def __init__(self, signature: tuple, rows: tuple):
+        object.__setattr__(self, "signature", signature)  # of Rotor
+        object.__setattr__(self, "rows", rows)  # of index tuples
 
 
 def _root_set(raw_roots, poly: CharPoly, method: str) -> RootSet:

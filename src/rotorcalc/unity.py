@@ -8,23 +8,20 @@ or a chain of rotated segments is summed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DuplicateElements, InvalidOrder, ZeroResultant
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Rotor:
+class Rotor(Record):
     """exp(i 2*pi * num/den), kept canonical: den >= 1, 0 <= num < den, gcd = 1."""
 
-    num: int
-    den: int
+    __slots__ = _fields = ("num", "den")
 
-    def __post_init__(self):
-        if self.den == 0:
+    def __init__(self, num: int, den: int):
+        if den == 0:
             raise InvalidOrder("rotor denominator must be nonzero")
-        num, den = self.num, self.den
         if den < 0:
             num, den = -num, -den
         num %= den
@@ -114,21 +111,20 @@ def roots_sum(n: int, negative: bool = False) -> complex:
     return sum((rotor_value(r) for r in family), 0j)
 
 
-@dataclass(frozen=True)
-class RotatedTerm:
+class RotatedTerm(Record):
     """A segment of given length advanced in a rotor's direction.
 
     Negative lengths are folded into the rotor as a half turn, keeping the
     direction-plus-distance reading single-valued.
     """
 
-    rotor: Rotor
-    magnitude: float
+    __slots__ = _fields = ("rotor", "magnitude")
 
-    def __post_init__(self):
-        if self.magnitude < 0:
-            object.__setattr__(self, "rotor", rotor_mul(self.rotor, HALF))
-            object.__setattr__(self, "magnitude", -self.magnitude)
+    def __init__(self, rotor: Rotor, magnitude: float):
+        if magnitude < 0:
+            rotor, magnitude = rotor_mul(rotor, HALF), -magnitude
+        object.__setattr__(self, "rotor", rotor)
+        object.__setattr__(self, "magnitude", magnitude)
 
 
 def chain_resultant(terms: list[RotatedTerm]) -> complex:
@@ -163,20 +159,21 @@ def cyclic_closure(generator: Rotor) -> list[Rotor]:
     return cycle
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    closure: bool
-    associativity: bool
-    identity: bool
-    inverses: bool
+class AxiomReport(Record):
+    __slots__ = _fields = ("closure", "associativity", "identity", "inverses")
+
+    def __init__(self, closure: bool, associativity: bool, identity: bool, inverses: bool):
+        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "associativity", associativity)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverses", inverses)
 
     @property
     def all_pass(self) -> bool:
         return self.closure and self.associativity and self.identity and self.inverses
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(Record):
     """Multiplication table over a fixed element order.
 
     products[i][j] is the index of elements[i]*elements[j] within elements,
@@ -184,9 +181,13 @@ class GroupTable:
     not raised).
     """
 
-    elements: tuple[Rotor, ...]
-    products: tuple[tuple[int | None, ...], ...]
-    axiom_report: AxiomReport
+    __slots__ = _fields = ("elements", "products", "axiom_report")
+
+    def __init__(self, elements: tuple[Rotor, ...], products: tuple[tuple[int | None, ...], ...],
+                 axiom_report: AxiomReport):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "axiom_report", axiom_report)
 
     def product_rotor(self, i: int, j: int) -> Rotor:
         return rotor_mul(self.elements[i], self.elements[j])
@@ -291,14 +292,16 @@ REFERENCE_LABELS = {
 REFERENCE_TABLES = {name: _label_rows(text) for name, text in REFERENCE_LABELS.items()}
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(Record):
     """A table cell where the reference transcription disagrees with arithmetic."""
 
-    row: int
-    col: int
-    printed: Rotor
-    computed: Rotor
+    __slots__ = _fields = ("row", "col", "printed", "computed")
+
+    def __init__(self, row: int, col: int, printed: Rotor, computed: Rotor):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "printed", printed)
+        object.__setattr__(self, "computed", computed)
 
 
 def diff_reference(table: GroupTable, name: str) -> list[Discrepancy]:

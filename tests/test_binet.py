@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -465,6 +466,48 @@ class TestRepeatedRootChains:
         rec = Recurrence((-1, 1, 1), (0, 1, 2))
         for k in (3, 4):
             assert abs(component(rec, "C", k) - (2 + (-1) ** k)) < 1e-9
+
+
+# Integral cubics with a double root, where rounding leaves D = sigma1^3 - sigma2^3
+# near 0 but not at it: the exact discriminant A^2 - 4 B^3 is 0.
+DOUBLE_ROOT_CUBICS = {
+    "(x-1)^2(x+1)": (-1, 1, 1),
+    "(x-2)^2(x+1)": (-4, 0, 3),
+    "x(x-1)^2": (0, -1, 2),
+}
+
+
+class TestExactRepeatedRoots:
+    @pytest.mark.parametrize("coeffs", DOUBLE_ROOT_CUBICS.values(), ids=DOUBLE_ROOT_CUBICS)
+    def test_binet3_refuses(self, coeffs):
+        with pytest.raises(DegenerateRoots):
+            binet3(Recurrence(coeffs, (0, 1, 2)), 30)
+
+    @pytest.mark.parametrize("coeffs", DOUBLE_ROOT_CUBICS.values(), ids=DOUBLE_ROOT_CUBICS)
+    def test_divided_components_refuse(self, coeffs):
+        rec = Recurrence(coeffs, (0, 1, 2))
+        for kind in "AB":
+            with pytest.raises(DegenerateRoots):
+                component(rec, kind, 30)
+        assert cmath.isfinite(component(rec, "C", 30))
+
+    def test_integral_floats_are_tested_exactly(self):
+        with pytest.raises(DegenerateRoots):
+            binet3(Recurrence((-1.0, 1.0, 1.0), (0, 1, 2)), 30)
+
+    def test_double_root_quadratic_refuses(self):
+        # (x-1)^2: c1^2 + 4 c0 = 0
+        rec = Recurrence((-1, 2), (0, 1))
+        with pytest.raises(DegenerateRoots):
+            binet2(rec, 30)
+        with pytest.raises(DegenerateRoots):
+            component(rec, "F", 30)
+
+    def test_near_double_root_still_answers(self):
+        # x^3 = x^2 + x - 0.999...: distinct roots, not integral, so not refused
+        rec = Recurrence((-0.999, 1, 1), (0, 1, 2))
+        want = iterate(rec, 11)[10]
+        assert abs(binet3(rec, 10) - want) <= 1e-6 * max(1, abs(want))
 
 
 class TestTermOverflow:

@@ -1,7 +1,6 @@
 import collections
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -360,15 +359,19 @@ class TestDispatch:
 
 
 def test_cli_import_loads_no_numpy():
+    """The CLI's import footprint in an isolated interpreter with no site
+    packages: none of numpy, dataclasses, inspect or typing is loaded."""
     src = str(Path(rotorcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import rotorcalc.cli; "
+        "print(' '.join(m for m in ('numpy', 'dataclasses', 'inspect', 'typing') "
+        "if m in sys.modules))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import rotorcalc.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _refuse_constant(name):

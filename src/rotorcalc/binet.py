@@ -1,8 +1,11 @@
 """Closed forms for linear recurrences.
 
 Every closed form here is one weighted power sum over the characteristic
-roots, x_k = sum_m W_m r_m^k (`_power_sum`, the only place a root is raised
-to the k-th power).  The routes differ only in where the weights W come from:
+roots, x_k = sum_m W_m r_m^k: `_power_sum` at one k, and `_power_sums` at
+k = 0..kmax from a `PowerTable` of each distinct root's powers.  `_powers`
+(r ** k, infinite past float range) and `_finite` (TermOverflow on a
+non-finite term) hold the overflow rule both share.  The routes differ only
+in where the weights W come from:
 - `solve_weights`: a `BinetForm`, solved from the first n+1 iterated terms,
   plus a constant weight (any order);
 - `binet2`, `binet3`, `m_form`: one `MForm`, the paper's rotor-chain expansion
@@ -13,12 +16,15 @@ to the k-th power).  The routes differ only in where the weights W come from:
 - `component`: one chain row, W_m = value(sig_j[m]), the signed rows divided
   by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
 
-`verify` checks each applicable form through its `evaluate(k)` against iteration.
+`verify` checks each applicable form against iteration in one batched pass,
+`form.terms(table)`, with one power table shared by every form; the terms
+are bit-identical to `evaluate(k)`.
 """
 from __future__ import annotations
 
 import cmath
-from operator import mul
+from itertools import repeat
+from operator import mul, sub, truediv
 
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
 from .record import Record
@@ -38,15 +44,62 @@ from .unity import rotor_value
 _INT_SNAP_LIMIT = 2.0 ** 52
 
 
-def _power_sum(weights, roots, k: int) -> complex:
-    """sum(w_m * r_m^k) over paired weights and roots; TermOverflow beyond float range."""
+def _powers(roots, ks) -> list:
+    """r ** k over paired roots and exponents (each re-iterable or endless);
+    a power past float range is an infinity, which `_finite` then refuses."""
     try:
-        total = sum(w * r ** k for w, r in zip(weights, roots))
+        return list(map(pow, roots, ks))
     except OverflowError:
-        total = cmath.inf
+        powers = []
+        for r, k in zip(roots, ks):
+            try:
+                powers.append(r ** k)
+            except OverflowError:
+                powers.append(cmath.inf)
+        return powers
+
+
+def _finite(total, k: int):
+    """The closed-form term at k, or TermOverflow where it left float range."""
     if not cmath.isfinite(total):
         raise TermOverflow(f"the closed-form term at k={k} is beyond float range")
     return total
+
+
+def _power_sum(weights, roots, k: int) -> complex:
+    """sum(w_m * r_m^k) over paired weights and roots; TermOverflow beyond float range."""
+    return _finite(sum(map(mul, weights, _powers(roots, repeat(k)))), k)
+
+
+class PowerTable:
+    """Each root's powers r^0..r^kmax, computed on first lookup and shared by
+    every form evaluated against this table.
+
+    Rows are keyed by repr, which tells a float from a complex and 0.0 from
+    -0.0, so a shared row holds exactly the bits `r ** k` gives each root.
+    """
+
+    __slots__ = ("kmax", "_rows")
+
+    def __init__(self, kmax: int):
+        self.kmax = kmax
+        self._rows = {}
+
+    def row(self, r) -> list:
+        key = repr(r)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = _powers(repeat(r), range(self.kmax + 1))
+        return row
+
+
+def _power_sums(weights, roots, table: PowerTable):
+    """_power_sum(weights, roots, k) for k = 0..table.kmax, in order; a term
+    beyond float range raises TermOverflow once the caller reaches it."""
+    sums = [sum(map(mul, weights, powers)) for powers in zip(*map(table.row, roots))]
+    if all(map(cmath.isfinite, sums)):
+        return sums
+    return map(_finite, sums, range(len(sums)))
 
 
 def _fold(coefficients, values) -> tuple:
@@ -76,6 +129,11 @@ class BinetForm(Record):
     def evaluate(self, k: int) -> complex:
         return _power_sum(self.weights, self.roots.roots, k) + self.weights[-1]
 
+    def terms(self, table: PowerTable):
+        """evaluate(k) for k = 0..table.kmax, the powers read from table."""
+        const = self.weights[-1]
+        return (s + const for s in _power_sums(self.weights, self.roots.roots, table))
+
 
 class MForm(Record):
     """x_k = sum_j M_j * chain_j(k), chain_j(k) = sum_m value(sig_j[m]) * roots[m]^k.
@@ -102,6 +160,10 @@ class MForm(Record):
 
     def evaluate(self, k: int) -> float:
         return _power_sum(self.root_weights, self.roots, k).real
+
+    def terms(self, table: PowerTable):
+        """evaluate(k) for k = 0..table.kmax, the powers read from table."""
+        return (s.real for s in _power_sums(self.root_weights, self.roots, table))
 
 
 # value(sig_j[m]) of every chain row
@@ -328,9 +390,12 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
         forms["m_form"] = m_form(rec)
     # after the forms, so a solver error is reported ahead of an exact term's overflow
     exact = [as_float(x) for x in iterate(rec, kmax + 1)]
+    scale = [max(1.0, abs(x)) for x in exact]
+    table = PowerTable(kmax)
 
     paths = {}
     for name, form in forms.items():
-        worst = max(abs(form.evaluate(k) - x) / max(1.0, abs(x)) for k, x in enumerate(exact))
+        # |v - x| / max(1, |x|) for each term v and exact x, in k order
+        worst = max(map(truediv, map(abs, map(sub, form.terms(table), exact)), scale))
         paths[name] = PathCheck(worst, worst <= rel_tol)
     return VerifyReport(kmax, rel_tol, paths, all(p.passed for p in paths.values()))

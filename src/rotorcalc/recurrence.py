@@ -7,7 +7,7 @@ all-integer case runs in exact arbitrary-precision arithmetic.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 
 from .errors import (
     ArityMismatch, NonConvergent, TermOverflow, ZeroDivisionInRatio, ZeroLeadingCoefficient,
@@ -77,6 +77,8 @@ def from_general(a) -> tuple:
 
     Exact division (results stay integers when they are integers).
     """
+    from fractions import Fraction
+
     a = list(a)
     if len(a) < 2:
         raise ArityMismatch("general form needs at least a_0 and a_1")
@@ -92,16 +94,15 @@ def from_general(a) -> tuple:
 def iterate(rec: Recurrence, count: int):
     """First `count` terms; exact integers when the recurrence is integral."""
     if rec.integral:
-        window = [int(x) for x in rec.seeds]
+        out = [int(x) for x in rec.seeds]
         coeffs = [int(c) for c in rec.coeffs]
     else:
-        window = [float(x) for x in rec.seeds]
+        out = [float(x) for x in rec.seeds]
         coeffs = [float(c) for c in rec.coeffs]
-    out = list(window[:count])
-    while len(out) < count:
-        nxt = sum(c * x for c, x in zip(coeffs, window))
-        out.append(nxt)
-        window = window[1:] + [nxt]
+    n = len(coeffs)
+    del out[count:]
+    for i in range(count - n):
+        out.append(sum(map(mul, coeffs, out[i:i + n])))
     return out
 
 
@@ -115,6 +116,8 @@ def characteristic_ratio(rec: Recurrence, iters: int) -> float:
     The last five ratio estimates must agree to 1e-6 (Cauchy-style check);
     otherwise the limit is not considered established.
     """
+    from fractions import Fraction
+
     n = rec.order
     if iters < n + 2:
         raise ValueError(f"iters must be at least order+2 = {n + 2}")

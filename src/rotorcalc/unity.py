@@ -8,7 +8,6 @@ or a chain of rotated segments is summed.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DuplicateElements, InvalidOrder, ZeroResultant
 from .record import Record
@@ -30,7 +29,10 @@ class Rotor(Record):
         object.__setattr__(self, "den", den // g)
 
     @property
-    def turn(self) -> Fraction:
+    def turn(self):
+        """num/den as a `fractions.Fraction`."""
+        from fractions import Fraction
+
         return Fraction(self.num, self.den)
 
     def __str__(self):

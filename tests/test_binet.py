@@ -8,7 +8,9 @@ import rotorcalc.binet
 import rotorcalc.roots
 from rotorcalc.binet import (
     MForm,
+    PowerTable,
     _power_sum,
+    _seed_form,
     _solve,
     binet2,
     binet3,
@@ -42,6 +44,13 @@ def random_integral(rng, order):
     return Recurrence(
         tuple(rng.randint(-3, 3) for _ in range(order)),
         tuple(rng.randint(-3, 3) for _ in range(order)),
+    )
+
+
+def random_quarter(rng, order):
+    return Recurrence(
+        tuple(rng.randint(-12, 12) / 4 or 0.25 for _ in range(order)),
+        tuple(rng.randint(-20, 20) / 4 for _ in range(order)),
     )
 
 
@@ -435,6 +444,71 @@ class TestVerify:
                                    {n: p.max_rel_err for n, p in report.paths.items()})
             checked += 1
         assert checked >= 60
+
+
+def _verified_forms(rec):
+    """The forms verify checks for rec, as in verify."""
+    forms = [solve_weights(rec)]
+    if rec.order in (2, 3):
+        forms.append(_seed_form(rec, rec.order, f"binet{rec.order}"))
+    forms.append(m_form(rec))
+    return forms
+
+
+def _hex(value):
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return value.hex()
+
+
+class TestBatchedPass:
+    def test_terms_are_evaluate_bitwise(self):
+        rng = random.Random(2718)
+        checked = 0
+        while checked < 150:
+            draw = random_integral if checked % 2 else random_quarter
+            rec = draw(rng, 2 + checked % 3)
+            try:
+                forms = _verified_forms(rec)
+            except DomainError:
+                continue
+            kmax = rng.randint(0, 200)
+            table = PowerTable(kmax)  # shared by every form, as in verify
+            for form in forms:
+                batched = [_hex(v) for v in form.terms(table)]
+                assert batched == [_hex(form.evaluate(k)) for k in range(kmax + 1)], (rec, form)
+            checked += 1
+
+    def test_terms_overflow_at_the_same_k_as_evaluate(self):
+        rec = Recurrence((3, 2), (2, -2))
+        for form in _verified_forms(rec):
+            with pytest.raises(TermOverflow) as single:
+                for k in range(701):
+                    form.evaluate(k)
+            with pytest.raises(TermOverflow) as batched:
+                list(form.terms(PowerTable(700)))
+            assert str(batched.value) == str(single.value)
+
+    def test_verify_overflow_in_a_zero_weight_root(self):
+        # x_k = 2(-1)^k; the weight on the root 3 is 0, but 3^647 leaves float range
+        with pytest.raises(TermOverflow, match=r"at k=647 is beyond float range"):
+            verify(Recurrence((3, 2), (2, -2)), 700)
+        assert verify(Recurrence((3, 2), (2, -2)), 640).passed
+
+    def test_rows_are_shared_by_root_value(self):
+        table = PowerTable(5)
+        assert table.row(1.5 + 0j) is table.row(complex(1.5, 0.0))
+        assert table.row(1.5 + 0j) == [(1.5 + 0j) ** k for k in range(6)]
+        assert table.row(complex(-0.0, 0.0)) is not table.row(0j)
+        assert table.row(2.0) is not table.row(2 + 0j)
+
+    def test_verify_evaluates_no_form_term_by_term(self, monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("verify called evaluate")
+        monkeypatch.setattr(rotorcalc.binet.MForm, "evaluate", refuse)
+        monkeypatch.setattr(rotorcalc.binet.BinetForm, "evaluate", refuse)
+        for rec in (FIB, TRIB, TETRA):
+            assert verify(rec, 40, 1e-8).passed
 
 
 class TestHomogeneityConstant:

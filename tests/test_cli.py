@@ -360,12 +360,13 @@ class TestDispatch:
 
 def test_cli_import_loads_no_numpy():
     """The CLI's import footprint in an isolated interpreter with no site
-    packages: none of numpy, dataclasses, inspect or typing is loaded."""
+    packages: none of numpy, dataclasses, inspect, typing, fractions, decimal
+    or numbers is loaded."""
     src = str(Path(rotorcalc.__file__).resolve().parents[1])
+    unwanted = ("numpy", "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import rotorcalc.cli; "
-        "print(' '.join(m for m in ('numpy', 'dataclasses', 'inspect', 'typing') "
-        "if m in sys.modules))"
+        f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120,
@@ -439,6 +440,16 @@ class TestStrictJson:
         assert code == 1
         assert out == ""
         assert "TermOverflow" in err
+
+    def test_verify_overflow_in_a_zero_weight_root(self, capsys):
+        # x_k = 2(-1)^k: the root 3 has weight 0, and 3^647 leaves float range
+        code, out, err = run(
+            capsys, "verify", "--coeffs", "3,2", "--seeds", "2,-2", "--kmax", "700"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: TermOverflow")
+        assert "k=647 " in err
 
     def test_non_finite_result_is_refused(self, capsys):
         # finite inputs whose roots leave float range

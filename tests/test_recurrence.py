@@ -158,3 +158,40 @@ class TestCharacteristicRatio:
         rec = Recurrence((-2, 1), (1, 1))  # complex dominant pair
         with pytest.raises(NonConvergent):
             characteristic_ratio(rec, 20)
+
+
+def _iterate_by_window(rec, count):
+    """The earlier iterate: a window of the last n terms, rebuilt each step."""
+    if rec.integral:
+        window = [int(x) for x in rec.seeds]
+        coeffs = [int(c) for c in rec.coeffs]
+    else:
+        window = [float(x) for x in rec.seeds]
+        coeffs = [float(c) for c in rec.coeffs]
+    out = list(window[:count])
+    while len(out) < count:
+        nxt = sum(c * x for c, x in zip(coeffs, window))
+        out.append(nxt)
+        window = window[1:] + [nxt]
+    return out
+
+
+def _bits(terms):
+    return [x.hex() if isinstance(x, float) else x for x in terms]
+
+
+def test_iterate_matches_the_window_loop():
+    rng = random.Random(4711)
+    for i in range(400):
+        order = rng.randint(1, 6)
+        if i % 2:
+            coeffs = [rng.randint(-12, 12) / 4 or 0.25 for _ in range(order)]
+            seeds = [rng.randint(-20, 20) / 4 for _ in range(order)]
+        else:
+            coeffs = [rng.randint(-5, 5) or 1 for _ in range(order)]
+            seeds = [rng.randint(-9, 9) for _ in range(order)]
+        rec = Recurrence(coeffs, seeds)
+        count = rng.choice([0, 1, order - 1, order, rng.randint(0, 300)])
+        got = iterate(rec, count)
+        assert len(got) == count
+        assert _bits(got) == _bits(_iterate_by_window(rec, count)), (rec, count)

@@ -111,20 +111,13 @@ class TermValue(Record):
     __slots__ = _fields = ("value", "nearest", "distance")
 
     def __init__(self, value: complex, nearest: int | None = None, distance: float | None = None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "nearest", nearest)
-        object.__setattr__(self, "distance", distance)
+        super().__init__(value, nearest, distance)
 
 
 class BinetForm(Record):
     """x_k = sum(weights[j] * roots[j]^k) + weights[-1]."""
 
     __slots__ = _fields = ("roots", "weights", "source")
-
-    def __init__(self, roots: RootSet, weights: tuple, source: Recurrence):
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "source", source)
 
     def evaluate(self, k: int) -> complex:
         return _power_sum(self.weights, self.roots.roots, k) + self.weights[-1]
@@ -152,10 +145,7 @@ class MForm(Record):
             raise UnsupportedDegree(f"chain rows cover orders 2-4, not {order}")
         if not len(coefficients) == len(roots) == order:
             raise ArityMismatch(f"order {order} needs {order} coefficients and roots")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "signatures", CHAIN_ROWS[order])
-        object.__setattr__(self, "roots", roots)
+        super().__init__(order, coefficients, CHAIN_ROWS[order], roots)
         object.__setattr__(self, "root_weights", _fold(coefficients, _M_VALUES[order]))
 
     def evaluate(self, k: int) -> float:
@@ -359,19 +349,9 @@ def component(rec: Recurrence, kind: str, k: int) -> complex:
 class PathCheck(Record):
     __slots__ = _fields = ("max_rel_err", "passed")
 
-    def __init__(self, max_rel_err: float, passed: bool):
-        object.__setattr__(self, "max_rel_err", max_rel_err)
-        object.__setattr__(self, "passed", passed)
-
 
 class VerifyReport(Record):
     __slots__ = _fields = ("kmax", "rel_tol", "paths", "passed")
-
-    def __init__(self, kmax: int, rel_tol: float, paths: dict, passed: bool):
-        object.__setattr__(self, "kmax", kmax)
-        object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "passed", passed)
 
 
 def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:

@@ -11,7 +11,8 @@ class DomainError(Exception):
 
 
 class InvalidOrder(DomainError):
-    """Root family order must be a positive integer."""
+    """A root family's order is not a positive integer, a rotor's denominator
+    is 0, or a family name is unknown."""
 
 
 class DuplicateElements(DomainError):
@@ -54,7 +55,9 @@ class NonConvergent(DomainError):
 
 
 class UnsupportedDegree(DomainError):
-    """Permutation tables exist for degrees 2, 3, 4 only."""
+    """A degree or order outside what the method covers: permutation tables,
+    chain rows, `m_form` and `roots_from_sigma` cover 2-4, `roots --method
+    closed` covers 2-3, and `numeric_roots` needs at least 1."""
 
 
 class ArityMismatch(DomainError):
@@ -78,7 +81,8 @@ class DegenerateRoots(DomainError):
 
 
 class SingularSystem(DomainError):
-    """Weight system is singular (a characteristic root equals 1)."""
+    """Weight system is singular: a characteristic root equals 1, or the
+    elimination meets a zero pivot."""
 
 
 class TermOverflow(DomainError):

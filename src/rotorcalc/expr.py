@@ -16,6 +16,8 @@ Grammar:
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import mul
 
 from .errors import EvaluationError, LexError, ParseError
 from .record import Record
@@ -23,27 +25,20 @@ from .unity import CONST_ROTORS, OPSYM_ROTORS, Rotor, rotor_value
 
 
 class Token(Record):
-    __slots__ = _fields = ("kind", "lexeme", "span")
+    """A lexeme, its kind (number | opsym | star | caret | lparen | rparen |
+    ident | rotkw | comma) and its (start, end) span in the source text."""
 
-    def __init__(self, kind: str, lexeme: str, span: tuple[int, int]):
-        # kind: number | opsym | star | caret | lparen | rparen | ident | rotkw | comma
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lexeme", lexeme)
-        object.__setattr__(self, "span", span)
+    __slots__ = _fields = ("kind", "lexeme", "span")
 
 
 class Number(Record):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
-
 
 class Const(Record):
-    __slots__ = _fields = ("name",)
+    """A named constant: I | J | i."""
 
-    def __init__(self, name: str):  # I | J | i
-        object.__setattr__(self, "name", name)
+    __slots__ = _fields = ("name",)
 
 
 class Rot(Record):
@@ -51,34 +46,19 @@ class Rot(Record):
 
     __slots__ = _fields = ("num", "den")
 
-    def __init__(self, num: int, den: int):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
 
 class Mul(Record):
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Pow(Record):
     __slots__ = _fields = ("base", "exponent")
-
-    def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
 
 
 class Chain(Record):
     """Alternating opsym/term sequence; the first opsym may be an explicit unary."""
 
     __slots__ = _fields = ("items",)
-
-    def __init__(self, items: tuple[tuple[str, Expr], ...]):
-        object.__setattr__(self, "items", items)
 
 
 # The expression-tree node types (`Expr` in annotations).
@@ -245,6 +225,16 @@ def parse(text: str) -> Expr:
         raise ParseError("expression nests too deeply", span) from None
 
 
+def _mul_factors(e: Mul) -> list:
+    """The factors of a left-nested product, left to right, walked in a loop
+    so a long product does not recurse once per factor."""
+    rights = []
+    while isinstance(e, Mul):
+        rights.append(e.right)
+        e = e.left
+    return [e, *reversed(rights)]
+
+
 def evaluate(e: Expr) -> complex:
     """Floating value of an expression tree."""
     if isinstance(e, Number):
@@ -254,7 +244,7 @@ def evaluate(e: Expr) -> complex:
     if isinstance(e, Rot):
         return rotor_value(Rotor(e.num, e.den))
     if isinstance(e, Mul):
-        return evaluate(e.left) * evaluate(e.right)
+        return reduce(mul, map(evaluate, _mul_factors(e)))  # left to right, as nested
     if isinstance(e, Pow):
         base = evaluate(e.base)
         if base == 0 and e.exponent < 0:
@@ -277,6 +267,11 @@ def _fmt_number(value: float) -> str:
     return repr(value)
 
 
+def _grouped(e: Expr, kinds) -> str:
+    """format_expr(e), in parentheses when e is one of kinds."""
+    return f"({format_expr(e)})" if isinstance(e, kinds) else format_expr(e)
+
+
 def format_expr(e: Expr) -> str:
     """Canonical text; parse(format_expr(e)) is structurally equal to e."""
     if isinstance(e, Number):
@@ -286,27 +281,12 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Rot):
         return f"rot({e.num},{e.den})"
     if isinstance(e, Pow):
-        base = format_expr(e.base)
-        if not isinstance(e.base, (Number, Const, Rot)):
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
+        return f"{_grouped(e.base, (Mul, Pow, Chain))}^{e.exponent}"
     if isinstance(e, Mul):
-        left = format_expr(e.left)
-        if isinstance(e.left, Chain):
-            left = f"({left})"
-        right = format_expr(e.right)
-        if isinstance(e.right, (Chain, Mul)):
-            right = f"({right})"
-        return f"{left}*{right}"
+        first, *rest = _mul_factors(e)
+        return "*".join([_grouped(first, Chain), *(_grouped(f, (Chain, Mul)) for f in rest)])
     if isinstance(e, Chain):
-        parts = []
-        for idx, (op, item) in enumerate(e.items):
-            text = format_expr(item)
-            if isinstance(item, Chain):
-                text = f"({text})"
-            if idx == 0:
-                parts.append(text if op == "+" else f"{op}{text}")
-            else:
-                parts.append(f" {op} {text}")
-        return "".join(parts)
+        (op, item), *rest = e.items
+        head = ("" if op == "+" else op) + _grouped(item, Chain)
+        return head + "".join(f" {sym} {_grouped(term, Chain)}" for sym, term in rest)
     raise TypeError(f"not an expression node: {e!r}")

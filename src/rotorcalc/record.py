@@ -1,10 +1,12 @@
 """Immutable value records, the base of every rotorcalc record type.
 
-A record class names its compared fields in `_fields`, declares its
-`__slots__` and writes its own `__init__`, which sets each slot with
-`object.__setattr__`.  Equality, hashing and repr read `_fields` in order,
-exactly as a frozen dataclass's do; any other assignment or deletion raises
-AttributeError.
+A record class declares its `__slots__` and names its compared fields in
+`_fields`.  `Record.__init__`, the one place a field is stored, takes their
+values in order, by position or keyword; a missing, extra or unknown argument
+raises TypeError.  A record that validates, computes or defaults a value has
+a short `__init__` that passes its final values to `super().__init__`.
+Equality, hashing and repr read `_fields` in order, as a frozen dataclass's
+do; any other assignment or deletion raises AttributeError.
 """
 from operator import attrgetter
 
@@ -18,6 +20,16 @@ class Record:
         get = attrgetter(*cls._fields)
         # the compared values as a tuple, also for a single field
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{self.__class__.__name__}() takes ({', '.join(fields)}), each "
+                            f"once, by position or keyword")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

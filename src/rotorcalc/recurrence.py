@@ -44,9 +44,7 @@ class Recurrence(Record):
             raise ArityMismatch(
                 f"{len(coeffs)} coefficients need {len(coeffs)} seeds, got {len(seeds)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "integral", all(_is_integral(v) for v in coeffs + seeds))
+        super().__init__(coeffs, seeds, all(_is_integral(v) for v in coeffs + seeds))
 
     @property
     def order(self) -> int:
@@ -61,8 +59,7 @@ class CharPoly(Record):
     def __init__(self, degree: int, coeffs: tuple):  # c_0..c_{n-1}
         if degree != len(coeffs):
             raise ArityMismatch("degree must equal the coefficient count")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(degree, coeffs)
 
     def value(self, z: complex) -> complex:
         """p(z) = z^n - c_{n-1} z^(n-1) - ... - c_0, by Horner."""

@@ -56,34 +56,21 @@ def _min_separation(roots) -> float:
 
 
 class RootSet(Record):
-    __slots__ = _fields = ("roots", "residuals", "min_separation", "method")
+    """Roots sorted by the modulus/real/imag convention, with |p(r)| per root
+    in the same order as residuals; method is "closed2" | "closed3" | "numeric"."""
 
-    def __init__(self, roots: tuple, residuals: tuple, min_separation: float, method: str):
-        object.__setattr__(self, "roots", roots)  # sorted by the modulus/real/imag convention
-        object.__setattr__(self, "residuals", residuals)  # |p(r)| per root, same order
-        object.__setattr__(self, "min_separation", min_separation)
-        object.__setattr__(self, "method", method)  # "closed2" | "closed3" | "numeric"
+    __slots__ = _fields = ("roots", "residuals", "min_separation", "method")
 
 
 class ResolventSet(Record):
     __slots__ = _fields = ("degree", "sigmas", "A", "B")
 
-    def __init__(self, degree: int, sigmas: tuple, A: float, B: float):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
 
 class PermutationTable(Record):
-    """Rows are cyclic arrangements of root indices; the signature gives the
-    rotor weight applied at each column position."""
+    """Rows are cyclic arrangements of root indices (tuples of them); the
+    signature gives the Rotor weight applied at each column position."""
 
     __slots__ = _fields = ("signature", "rows")
-
-    def __init__(self, signature: tuple, rows: tuple):
-        object.__setattr__(self, "signature", signature)  # of Rotor
-        object.__setattr__(self, "rows", rows)  # of index tuples
 
 
 def _root_set(raw_roots, poly: CharPoly, method: str) -> RootSet:

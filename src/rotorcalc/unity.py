@@ -25,8 +25,7 @@ class Rotor(Record):
             num, den = -num, -den
         num %= den
         g = math.gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        super().__init__(num // g, den // g)
 
     @property
     def turn(self):
@@ -125,8 +124,7 @@ class RotatedTerm(Record):
     def __init__(self, rotor: Rotor, magnitude: float):
         if magnitude < 0:
             rotor, magnitude = rotor_mul(rotor, HALF), -magnitude
-        object.__setattr__(self, "rotor", rotor)
-        object.__setattr__(self, "magnitude", magnitude)
+        super().__init__(rotor, magnitude)
 
 
 def chain_resultant(terms: list[RotatedTerm]) -> complex:
@@ -164,12 +162,6 @@ def cyclic_closure(generator: Rotor) -> list[Rotor]:
 class AxiomReport(Record):
     __slots__ = _fields = ("closure", "associativity", "identity", "inverses")
 
-    def __init__(self, closure: bool, associativity: bool, identity: bool, inverses: bool):
-        object.__setattr__(self, "closure", closure)
-        object.__setattr__(self, "associativity", associativity)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverses", inverses)
-
     @property
     def all_pass(self) -> bool:
         return self.closure and self.associativity and self.identity and self.inverses
@@ -184,12 +176,6 @@ class GroupTable(Record):
     """
 
     __slots__ = _fields = ("elements", "products", "axiom_report")
-
-    def __init__(self, elements: tuple[Rotor, ...], products: tuple[tuple[int | None, ...], ...],
-                 axiom_report: AxiomReport):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "axiom_report", axiom_report)
 
     def product_rotor(self, i: int, j: int) -> Rotor:
         return rotor_mul(self.elements[i], self.elements[j])
@@ -298,12 +284,6 @@ class Discrepancy(Record):
     """A table cell where the reference transcription disagrees with arithmetic."""
 
     __slots__ = _fields = ("row", "col", "printed", "computed")
-
-    def __init__(self, row: int, col: int, printed: Rotor, computed: Rotor):
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "printed", printed)
-        object.__setattr__(self, "computed", computed)
 
 
 def diff_reference(table: GroupTable, name: str) -> list[Discrepancy]:

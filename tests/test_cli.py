@@ -77,6 +77,13 @@ class TestEval:
         assert code == 0
         assert payload["re"] == 1.0
 
+    def test_long_product_evaluates(self, capsys):
+        # one Mul level per "*": evaluation must not recurse once per factor
+        code, out, err = run(capsys, "eval", "*".join(["1"] * 5000))
+        assert code == 0
+        assert json.loads(out)["re"] == 1.0
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("depth", [300, 3000])
     def test_too_deep_nesting_is_a_parse_error(self, capsys, depth):
         code, out, err = run(capsys, "eval", "(" * depth + "1" + ")" * depth)

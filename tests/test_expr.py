@@ -237,6 +237,17 @@ class TestFormat:
         assert format_expr(Number(3.0)) == "3"
         assert format_expr(Number(3.25)) == "3.25"
 
+    def test_long_product_round_trip(self):
+        # 6,000 factors: one left-nested Mul level per "*"
+        text = "*".join(["2", "(1 / 2)", "I^2"] * 2000)
+        tree = parse(text)
+        assert format_expr(tree) == text
+        factors = [parse(part) for part in text.split("*")]
+        while isinstance(tree, Mul):
+            assert tree.right == factors.pop()
+            tree = tree.left
+        assert factors == [tree]
+
     def test_random_round_trip(self):
         rng = random.Random(20210)
         for _ in range(2000):

@@ -1,8 +1,9 @@
 """The value-record contract of every rotorcalc record type.
 
-Each record compares, hashes and prints its fields in declaration order,
-refuses assignment and deletion, and keeps the exact repr text the library
-has always printed (pinned below, one instance per type).
+Each record is built from its fields by position or by keyword, compares,
+hashes and prints its fields in declaration order, refuses assignment and
+deletion, and keeps the exact repr text the library has always printed
+(pinned below, one instance per type).
 """
 import pytest
 
@@ -112,6 +113,15 @@ CASES = [
     (lambda: CharPoly(2, (1, 1)), ("degree", "coeffs"), "CharPoly(degree=2, coeffs=(1, 1))"),
 ]
 _IDS = [text.split("(")[0] for _, _, text in CASES]
+# compared fields that are computed, not passed, and the count of trailing
+# constructor arguments that have a default
+_COMPUTED = {Recurrence: ("integral",), MForm: ("signatures",)}
+_DEFAULTED = {TermValue: 2}
+
+
+def _constructor_arguments(record, fields):
+    computed = _COMPUTED.get(type(record), ())
+    return {f: getattr(record, f) for f in fields if f not in computed}
 
 
 def test_every_record_type_is_covered():
@@ -155,6 +165,40 @@ def test_fields_cannot_be_assigned_or_deleted(factory, fields, text):
     with pytest.raises(AttributeError):
         a.unknown = 1
     assert repr(a) == text
+
+
+@pytest.mark.parametrize("factory, fields, text", CASES, ids=_IDS)
+def test_rebuilt_by_position_or_keyword(factory, fields, text):
+    a = factory()
+    kwargs = _constructor_arguments(a, fields)
+    args = tuple(kwargs.values())
+    mixed = dict(list(kwargs.items())[1:])
+    for twin in (type(a)(*args), type(a)(**kwargs), type(a)(*args[:1], **mixed)):
+        assert twin is not a
+        assert twin == a
+        assert repr(twin) == text
+
+
+@pytest.mark.parametrize("factory, fields, text", CASES, ids=_IDS)
+def test_wrong_arguments_raise_type_error(factory, fields, text):
+    a = factory()
+    cls = type(a)
+    kwargs = _constructor_arguments(a, fields)
+    args = tuple(kwargs.values())
+    first = next(iter(kwargs))
+    required = len(args) - _DEFAULTED.get(cls, 0)
+    calls = [
+        lambda: cls(*args[:required - 1]),  # one too few
+        lambda: cls(*args, args[-1]),  # one too many
+        lambda: cls(*args, unknown=1),
+        lambda: cls(**kwargs, unknown=1),
+        lambda: cls(*args, **{first: args[0]}),  # given twice
+    ]
+    if len(args) > 1:  # given twice, the last one missing: the count alone looks right
+        calls.append(lambda: cls(*args[:-1], **{first: args[0]}))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_computed_fields_are_not_init_arguments():

@@ -19,6 +19,13 @@ in where the weights W come from:
 `verify` checks each applicable form against iteration in one batched pass,
 `form.terms(table)`, with one power table shared by every form; the terms
 are bit-identical to `evaluate(k)`.
+
+Each characteristic polynomial is solved once.  `solve_weights`, `_seed_form`
+(behind binet2, binet3 and verify) and `m_form` remember their forms, as the
+root solvers in `roots` remember their roots: each keeps its last
+`roots._MEMO_SIZE` (16) results keyed by `repr` of the arguments, so a
+repeated call, verify's included, returns the stored form bit for bit.
+Refusals are not stored; they are raised again on every call.
 """
 from __future__ import annotations
 
@@ -33,6 +40,7 @@ from .roots import (
     CHAIN_ROWS,
     RootSet,
     _cubic_labelled,
+    _memo,
     _min_separation,
     _quadratic_labelled,
     cubic_roots,
@@ -203,6 +211,7 @@ def _solve(matrix, rhs) -> list:
     return x
 
 
+@_memo
 def solve_weights(rec: Recurrence) -> BinetForm:
     """Solve x_k = sum(w_j r_j^k) + w_const from the first n+1 terms.
 
@@ -262,6 +271,7 @@ def _refuse_zero(rec: Recurrence, divisor):
         raise DegenerateRoots(f"repeated root: {name} = 0")
 
 
+@_memo
 def _seed_form(rec: Recurrence, n: int, name: str) -> MForm:
     """The chain form with the paper's seed coefficients M over the order-n
     chain rows.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
@@ -304,6 +314,7 @@ def binet3(rec: Recurrence, k: int) -> float:
     return _seed_form(rec, 3, "binet3").evaluate(k)
 
 
+@_memo
 def m_form(rec: Recurrence) -> MForm:
     """Rotor-expansion coefficients for orders 2-4.
 

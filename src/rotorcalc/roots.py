@@ -5,13 +5,19 @@ cube-root and fourth-root rotors); higher degrees fall back to simultaneous
 Durand-Kerner iteration.  The same rotor weights drive the permutation-table
 machinery: extracting resolvent values from a root tuple and reconstructing
 the roots back from those values.
+
+Every closed form of a recurrence starts from the same roots, so the solvers
+here and the form builders in `binet` are wrapped in `_memo`: each remembers
+its results for the last `_MEMO_SIZE` argument tuples it solved, keyed by
+`repr`, and a repeated call returns the stored record instead of solving again.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
-from functools import reduce
+from collections import OrderedDict
+from functools import reduce, wraps
 from operator import add, mul
 
 from .errors import (
@@ -27,6 +33,45 @@ from .recurrence import CharPoly, as_float
 from .unity import THIRD, rotor_pow, rotor_value, signature_rows
 
 _OMEGA = rotor_value(THIRD)
+
+# Argument tuples each memo remembers.  The closed forms of one recurrence
+# reuse a handful of entries (its roots, weights, seed and M forms), so this
+# keeps a few recent recurrences; 64 answered no faster and held 4x the memory.
+_MEMO_SIZE = 16
+_MISS = object()
+
+
+def _memo(fn):
+    """fn, remembering its results for the last _MEMO_SIZE argument tuples.
+
+    The key is repr of the arguments, which tells 0.0 from -0.0 and 1 from
+    1.0 where == does not, so a hit returns exactly the bits a fresh call
+    would.  Only results are stored: an exception is raised again on every
+    call.  The first stored entry is evicted first.  Results are shared, so
+    they must be immutable (records and tuples).  A race between threads may
+    lose an entry but never raises.  `cache_clear()` forgets every entry.
+    """
+    cache = OrderedDict()
+
+    @wraps(fn)
+    def remembered(*args, **kwargs):
+        try:
+            key = (repr(args), repr(kwargs)) if kwargs else repr(args)
+        except ValueError:  # an int too long for str(); such a call is not kept
+            return fn(*args, **kwargs)
+        result = cache.get(key, _MISS)
+        if result is _MISS:
+            result = fn(*args, **kwargs)
+            while len(cache) >= _MEMO_SIZE:
+                try:
+                    cache.popitem(last=False)
+                except KeyError:  # another thread emptied the cache first
+                    break
+            cache[key] = result
+        return result
+
+    remembered.cache_clear = cache.clear
+    return remembered
 
 # The chain rows of each degree, one operator symbol per root; row 0 is the
 # symmetric sum.  They turn roots into resolvents, sigma_j = sum_m
@@ -86,6 +131,7 @@ def _from_resolvents(c_top, sigmas) -> tuple:
     return tuple(reduce(add, map(mul, inverse, sigmas), c_top) / n for inverse in _INVERSE_ROWS[n])
 
 
+@_memo
 def _quadratic_labelled(c0: float, c1: float):
     """Roots in the labelling tied to sigma1, plus sigma1 itself."""
     try:
@@ -98,6 +144,7 @@ def _quadratic_labelled(c0: float, c1: float):
     return _from_resolvents(c1, (sigma1,)), sigma1
 
 
+@_memo
 def quadratic_roots(c0: float, c1: float):
     """Roots of x^2 = c1 x + c0 and the resolvent difference sigma1.
 
@@ -144,12 +191,14 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     return ResolventSet(3, (sigma1, best), A, B)
 
 
+@_memo
 def _cubic_labelled(c0: float, c1: float, c2: float):
     """Roots in the labelling tied to (sigma1, sigma2), plus the resolvents."""
     res = cubic_resolvents(c0, c1, c2)
     return _from_resolvents(c2, res.sigmas), res
 
 
+@_memo
 def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
     """Closed-form roots of x^3 = c2 x^2 + c1 x + c0 via the resolvents."""
     labelled, _ = _cubic_labelled(c0, c1, c2)
@@ -157,6 +206,7 @@ def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
     return _root_set(labelled, poly, "closed3")
 
 
+@_memo
 def numeric_roots(p: CharPoly, tol: float = 1e-10) -> RootSet:
     """Simultaneous (Durand-Kerner) iteration for any degree >= 1.
 

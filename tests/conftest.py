@@ -1,0 +1,12 @@
+import pytest
+
+from helpers import clear_memos
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Each test starts and ends with empty memos, so a test that replaces a
+    solver or `iterate` sees a fresh solve and leaves no result behind."""
+    clear_memos()
+    yield
+    clear_memos()

@@ -1,5 +1,6 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the memo reset."""
 import random
+import sys
 
 from rotorcalc.expr import Chain, Const, Mul, Number, Pow, Rot
 
@@ -40,3 +41,21 @@ def random_expr(rng: random.Random, depth: int):
     if kind < 8:
         return Mul(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
     return Pow(random_expr(rng, depth - 1), rng.randint(-4, 4))
+
+
+def memos():
+    """Every remembering (`_memo`-wrapped) function of the loaded rotorcalc
+    modules, once each."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "rotorcalc" or name.startswith("rotorcalc."):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    found[id(obj)] = obj
+    return list(found.values())
+
+
+def clear_memos():
+    """Forget every remembered result, so the next call solves afresh."""
+    for fn in memos():
+        fn.cache_clear()

@@ -28,8 +28,18 @@ from rotorcalc.errors import (
     TermOverflow,
     UnsupportedDegree,
 )
-from rotorcalc.recurrence import Recurrence, iterate
-from rotorcalc.roots import CHAIN_ROWS, cubic_resolvents
+from rotorcalc.recurrence import CharPoly, Recurrence, iterate
+from rotorcalc.roots import (
+    CHAIN_ROWS,
+    _cubic_labelled,
+    _quadratic_labelled,
+    cubic_resolvents,
+    cubic_roots,
+    numeric_roots,
+    quadratic_roots,
+)
+
+from helpers import clear_memos
 
 FIB = Recurrence((1, 1), (0, 1))
 LUCAS = Recurrence((1, 1), (2, 1))
@@ -407,10 +417,18 @@ class TestVerify:
             calls.append(args)
             return original(*args)
         monkeypatch.setattr(rotorcalc.roots, "cubic_resolvents", counted)
+        cubic_roots(*TRIB.coeffs)
+        solve_weights(TRIB)
+        m_form(TRIB)
+        for k in (1, 10, 100, 1000):
+            binet3(TRIB, k)
         report = verify(TRIB, 50, 1e-8)
         assert report.passed
-        # weights, binet3 and m_form: one closed3 solve each, however large kmax
-        assert len(calls) == 3
+        # the roots, weights, binet3 and m_form paths all read one remembered solve
+        assert len(calls) == 1
+        calls.clear()
+        assert verify(TRIB, 50, 1e-8) == report
+        assert calls == []
 
     def test_checks_the_forms_without_snapping_terms(self, monkeypatch):
         calls = []
@@ -663,3 +681,77 @@ class TestTermOverflow:
     def test_last_terms_below_the_overflow_still_answer(self):
         # x_1474 of Fibonacci is about 1e307, inside float range
         assert binet2(FIB, 1474) > 1e307
+
+
+def _outcome(fn, *args):
+    """repr of fn's result, or the type and text of what it raised."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _memo_calls(rec):
+    """Every remembering function, and a few that go through them, on rec."""
+    n, c = rec.order, rec.coeffs
+    calls = [(numeric_roots, CharPoly(n, c)), (solve_weights, rec), (m_form, rec)]
+    if n == 2:
+        calls += [(quadratic_roots, *c), (_quadratic_labelled, *c), (binet2, rec, 7)]
+    if n == 3:
+        calls += [(cubic_roots, *c), (_cubic_labelled, *c), (binet3, rec, 7)]
+    if n in (2, 3):
+        calls += [(_seed_form, rec, n, f"binet{n}"), (_seed_form, rec, n, "m_form")]
+    return calls + [(verify, rec, 30)]
+
+
+class TestMemo:
+    def test_int_float_and_big_int_seeds_get_their_own_forms(self):
+        recs = [FIB, Recurrence((1.0, 1.0), (0.0, 1.0)), Recurrence((1, 1), (0, 2 ** 60 + 1)),
+                Recurrence((1, 1), (0, float(2 ** 60 + 1)))]
+        remembered = [repr(solve_weights(rec)) for rec in recs]
+        assert len(set(remembered)) == 4
+        for rec, seen in zip(recs, remembered):
+            clear_memos()
+            assert repr(solve_weights(rec)) == seen
+            assert solve_weights(rec).source.seeds == rec.seeds
+
+    def test_degenerate_roots_are_refused_on_every_call(self):
+        double = Recurrence((-1, 2), (0, 1))  # (x-1)^2
+        messages = []
+        for _ in range(3):
+            with pytest.raises(DegenerateRoots) as err:
+                solve_weights(double)
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
+
+    def test_hits_are_repr_equal_to_fresh_solves(self):
+        # orders 2-4 with integral, quarter-grid and mixed 0 / 0.0 / -0.0 /
+        # 1 / 1.0 coefficients, each call once on a cleared memo and then
+        # twice in a row with the memo kept
+        # and each mixed one followed by its == twin of other reprs
+        rng = random.Random(1111)
+        mixed = (0, 0.0, -0.0, 1, 1.0, -1, -1.0, 2, 0.5, -0.25)
+        twin = {"0": -0.0, "0.0": 0, "-0.0": 0.0, "1": 1.0, "1.0": 1, "-1": -1.0, "-1.0": -1}
+        recs = []
+        for i in range(90):
+            order = 2 + i % 3
+            if i % 3 == 0:
+                recs.append(random_integral(rng, order))
+            elif i % 3 == 1:
+                recs.append(random_quarter(rng, order))
+            else:
+                rec = Recurrence(tuple(rng.choice(mixed) for _ in range(order)),
+                                 tuple(rng.choice(mixed) for _ in range(order)))
+                recs += [rec, Recurrence(*([twin.get(repr(v), v) for v in vs]
+                                           for vs in (rec.coeffs, rec.seeds)))]
+        calls = [call for rec in recs for call in _memo_calls(rec)]
+        fresh = []
+        for fn, *args in calls:
+            clear_memos()
+            fresh.append(_outcome(fn, *args))
+        clear_memos()
+        kept = [_outcome(fn, *args) for fn, *args in calls]
+        again = [_outcome(fn, *args) for fn, *args in calls]
+        assert kept == fresh
+        assert again == fresh
+        assert any(isinstance(outcome, tuple) for outcome in fresh)

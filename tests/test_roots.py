@@ -1,6 +1,10 @@
 import cmath
 import math
 import random
+import sys
+import threading
+import time
+import weakref
 
 import pytest
 
@@ -12,8 +16,10 @@ from rotorcalc.errors import (
 )
 from rotorcalc.recurrence import CharPoly
 from rotorcalc.roots import (
+    _MEMO_SIZE,
     _PINV4,
     _ROWS4,
+    _memo,
     cubic_resolvents,
     cubic_roots,
     numeric_roots,
@@ -24,6 +30,8 @@ from rotorcalc.roots import (
     vieta_residuals,
 )
 from rotorcalc.unity import Rotor, rotor_value
+
+from helpers import clear_memos, memos
 
 OMEGA = rotor_value(Rotor(1, 3))
 OMEGA2 = rotor_value(Rotor(2, 3))
@@ -340,3 +348,139 @@ class TestClosedVersusNumeric:
             closed = cubic_roots(*c)
             numeric = numeric_roots(CharPoly(3, tuple(c)))
             assert match_roots(numeric.roots, closed.roots) < 1e-8
+
+
+class TestMemo:
+    def test_every_solver_and_form_builder_remembers(self):
+        names = {fn.__name__ for fn in memos()}
+        assert names == {
+            "_quadratic_labelled", "quadratic_roots", "_cubic_labelled", "cubic_roots",
+            "numeric_roots", "solve_weights", "_seed_form", "m_form",
+        }
+
+    @pytest.mark.parametrize("first, second", [
+        (0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1), (2 ** 60 + 1, float(2 ** 60 + 1)),
+    ], ids=["0.0,-0.0", "-0.0,0.0", "1,1.0", "1.0,1", "2**60+1,float"])
+    def test_arguments_with_different_reprs_get_their_own_entry(self, first, second):
+        calls = []
+        echo = _memo(lambda x: calls.append(x) or (x,))
+        assert repr(echo(first)) == repr((first,))
+        assert repr(echo(second)) == repr((second,))
+        assert repr(echo(first)) == repr((first,))
+        assert len(calls) == 2
+
+    def test_keyword_arguments_are_part_of_the_key(self):
+        echo = _memo(lambda x, y=0: (x, y))
+        assert echo(1, y=2) == (1, 2)
+        assert echo(1, y=3) == (1, 3)
+        assert echo(1) == (1, 0)
+
+    def test_signed_zero_coefficient(self):
+        # -0.0 == 0.0, but x^2 = -1 + 0.0 x and x^2 = -1 - 0.0 x give different bits
+        plus = quadratic_roots(-1.0, 0.0)
+        minus = quadratic_roots(-1.0, -0.0)
+        assert repr(plus[0].roots) == "(1j, -1j)"
+        assert repr(minus[0].roots) == "(1j, (-0-1j))"
+        assert repr(quadratic_roots(-1.0, 0.0)) == repr(plus)
+        clear_memos()
+        assert repr(quadratic_roots(-1.0, -0.0)) == repr(minus)
+
+    def test_a_hit_returns_the_stored_result(self):
+        first = cubic_roots(1, 1, 1)
+        assert cubic_roots(1, 1, 1) is first
+        assert cubic_roots(1.0, 1, 1) is not first
+
+    def test_overflow_is_raised_on_every_call(self):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(TermOverflow) as err:
+                quadratic_roots(10 ** 400, 1)
+            messages.append(str(err.value))
+        assert messages == ["the quadratic discriminant is beyond float range"] * 3
+
+    def test_errors_are_not_remembered(self):
+        calls = []
+
+        def flaky(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise TermOverflow("first call")
+            return (x,)
+        remembered = _memo(flaky)
+        with pytest.raises(TermOverflow, match="first call"):
+            remembered(1)
+        assert remembered(1) == (1,)
+        assert remembered(1) == (1,)
+        assert calls == [1, 1]
+
+    def test_an_argument_too_long_for_repr_is_solved_uncached(self):
+        # repr of an int of more than 4300 digits raises ValueError
+        for _ in range(2):
+            with pytest.raises(TermOverflow):
+                quadratic_roots(10 ** 5000, 1)
+
+    def test_memory_is_bounded_and_the_oldest_goes_first(self):
+        class Result:
+            pass
+        calls = []
+        results = {}
+
+        def solve(x):
+            calls.append(x)
+            results[x] = Result()
+            return results[x]
+        remembered = _memo(solve)
+        live = [weakref.ref(remembered(x)) for x in range(_MEMO_SIZE + 10)]
+        results.clear()
+        assert sum(ref() is not None for ref in live) == _MEMO_SIZE
+        assert all(ref() is None for ref in live[:10])
+        calls.clear()
+        for x in reversed(range(10, _MEMO_SIZE + 10)):
+            remembered(x)
+        assert calls == []
+        remembered(0)
+        assert calls == [0]
+
+    def test_cache_clear_forgets_every_entry(self):
+        calls = []
+        echo = _memo(lambda x: calls.append(x) or (x,))
+        echo(1)
+        echo.cache_clear()
+        echo(1)
+        assert calls == [1, 1]
+
+    def test_racing_threads_never_raise(self):
+        # more threads than keys fit, a tiny switch interval and a clearing
+        # thread: entries may be lost, but every call answers correctly
+        square = _memo(lambda x: (x, x * x))
+        errors = []
+        stop = time.monotonic() + 1.0
+
+        def hammer(offset):
+            try:
+                i = offset
+                while time.monotonic() < stop:
+                    x = i % (2 * _MEMO_SIZE)
+                    assert square(x) == (x, x * x)
+                    i += 7
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        def clearer():
+            while time.monotonic() < stop:
+                square.cache_clear()
+                time.sleep(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+            threads.append(threading.Thread(target=clearer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

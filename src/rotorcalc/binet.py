@@ -272,14 +272,15 @@ def _refuse_zero(rec: Recurrence, divisor):
 
 
 @_memo
-def _seed_form(rec: Recurrence, n: int, name: str) -> MForm:
-    """The chain form with the paper's seed coefficients M over the order-n
-    chain rows.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
+def _seed_form(rec: Recurrence, n: int) -> MForm:
+    """binet{n}'s chain form: the paper's seed coefficients M over the order-n
+    chain rows.  Any n but rec.order is refused, so the memo holds one form
+    per recurrence.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
     Order 3: M = (x0/3, -N2/(3D), N1/(3D)) with
     N1 = 9 s1 x2 - 3(2 c2 s1 + s2^2) x1 - ((c2^2 + 6 c1) s1 - c2 s2^2) x0
     and N2 the same with s1 and s2 exchanged.
     """
-    roots, sigmas, d = _resolvent_roots(rec, n, name)
+    roots, sigmas, d = _resolvent_roots(rec, n, f"binet{n}")
     _refuse_zero(rec, d)
     if n == 2:
         x0, x1 = map(as_float, rec.seeds)
@@ -300,7 +301,7 @@ def binet2(rec: Recurrence, k: int) -> float:
     x_k = ((2 x1 - c1 x0)/2) * (r1^k - r2^k)/sigma1 + (x0/2) * (r1^k + r2^k)
     with sigma1 = sqrt(c1^2 + 4 c0), r1,r2 = (c1 +/- sigma1)/2.
     """
-    return _seed_form(rec, 2, "binet2").evaluate(k)
+    return _seed_form(rec, 2).evaluate(k)
 
 
 def binet3(rec: Recurrence, k: int) -> float:
@@ -311,7 +312,7 @@ def binet3(rec: Recurrence, k: int) -> float:
     (w the primitive cube root) and N1, N2 as in `_seed_form`,
     x_k = (N1/3)(Q_k/D) - (N2/3)(P_k/D) + (x0/3)(r1^k + r2^k + r3^k).
     """
-    return _seed_form(rec, 3, "binet3").evaluate(k)
+    return _seed_form(rec, 3).evaluate(k)
 
 
 @_memo
@@ -326,7 +327,7 @@ def m_form(rec: Recurrence) -> MForm:
     if n not in (2, 3, 4):
         raise UnsupportedDegree(f"rotor expansion covers orders 2-4, not {n}")
     if n == 2:
-        form = _seed_form(rec, 2, "m_form")
+        form = _seed_form(rec, 2)
         _guard_distinct(_min_separation(form.roots), rec)
         return form
     labelled = _cubic_labelled(*rec.coeffs)[0] if n == 3 else _rootset_for(rec).roots
@@ -376,7 +377,7 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
         raise ValueError("kmax must be nonnegative")
     forms = {"weights": solve_weights(rec)}
     if rec.order in (2, 3):
-        forms[f"binet{rec.order}"] = _seed_form(rec, rec.order, f"binet{rec.order}")
+        forms[f"binet{rec.order}"] = _seed_form(rec, rec.order)
     if rec.order in (2, 3, 4):
         forms["m_form"] = m_form(rec)
     # after the forms, so a solver error is reported ahead of an exact term's overflow

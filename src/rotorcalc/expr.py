@@ -12,6 +12,10 @@ Grammar:
     factor := atom [ "^" int ]
     atom   := number | "I" | "J" | "i" | "rot" "(" int "," int ")" | "(" expr ")"
     opsym  := "+" | "-" | "/" | "\\" | "_" | "~" | "="
+
+A `Chain` holds every (opsym, term) pair of one chain and a `Mul` every
+factor of one product, left to right, so a tree nests only as deep as its
+parentheses; "(2*3)*4" parses to Mul((Mul((2, 3)), 4)), not to 2*3*4.
 """
 from __future__ import annotations
 
@@ -48,7 +52,9 @@ class Rot(Record):
 
 
 class Mul(Record):
-    __slots__ = _fields = ("left", "right")
+    """Two or more factors, multiplied left to right."""
+
+    __slots__ = _fields = ("factors",)
 
 
 class Pow(Record):
@@ -159,11 +165,11 @@ class _Parser:
         return Chain(tuple(items))
 
     def term(self) -> Expr:
-        e = self.factor()
+        factors = [self.factor()]
         while (tok := self.peek()) is not None and tok.kind == "star":
             self.next()
-            e = Mul(e, self.factor())
-        return e
+            factors.append(self.factor())
+        return Mul(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Expr:
         e = self.atom()
@@ -225,16 +231,6 @@ def parse(text: str) -> Expr:
         raise ParseError("expression nests too deeply", span) from None
 
 
-def _mul_factors(e: Mul) -> list:
-    """The factors of a left-nested product, left to right, walked in a loop
-    so a long product does not recurse once per factor."""
-    rights = []
-    while isinstance(e, Mul):
-        rights.append(e.right)
-        e = e.left
-    return [e, *reversed(rights)]
-
-
 def evaluate(e: Expr) -> complex:
     """Floating value of an expression tree."""
     if isinstance(e, Number):
@@ -244,7 +240,7 @@ def evaluate(e: Expr) -> complex:
     if isinstance(e, Rot):
         return rotor_value(Rotor(e.num, e.den))
     if isinstance(e, Mul):
-        return reduce(mul, map(evaluate, _mul_factors(e)))  # left to right, as nested
+        return reduce(mul, map(evaluate, e.factors))  # left to right
     if isinstance(e, Pow):
         base = evaluate(e.base)
         if base == 0 and e.exponent < 0:
@@ -262,9 +258,10 @@ def evaluate(e: Expr) -> complex:
 
 
 def _fmt_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
-    return repr(value)
+    # repr's "inf" does not lex; 1e999 parses back to the same infinity
+    return repr(value).replace("inf", "1e999")
 
 
 def _grouped(e: Expr, kinds) -> str:
@@ -283,8 +280,7 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Pow):
         return f"{_grouped(e.base, (Mul, Pow, Chain))}^{e.exponent}"
     if isinstance(e, Mul):
-        first, *rest = _mul_factors(e)
-        return "*".join([_grouped(first, Chain), *(_grouped(f, (Chain, Mul)) for f in rest)])
+        return "*".join(_grouped(f, (Chain, Mul)) for f in e.factors)
     if isinstance(e, Chain):
         (op, item), *rest = e.items
         head = ("" if op == "+" else op) + _grouped(item, Chain)

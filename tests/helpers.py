@@ -39,7 +39,7 @@ def random_expr(rng: random.Random, depth: int):
         )
         return Chain(items)
     if kind < 8:
-        return Mul(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+        return Mul(tuple(random_expr(rng, depth - 1) for _ in range(rng.randint(2, 4))))
     return Pow(random_expr(rng, depth - 1), rng.randint(-4, 4))
 
 

@@ -468,7 +468,7 @@ def _verified_forms(rec):
     """The forms verify checks for rec, as in verify."""
     forms = [solve_weights(rec)]
     if rec.order in (2, 3):
-        forms.append(_seed_form(rec, rec.order, f"binet{rec.order}"))
+        forms.append(_seed_form(rec, rec.order))
     forms.append(m_form(rec))
     return forms
 
@@ -700,7 +700,7 @@ def _memo_calls(rec):
     if n == 3:
         calls += [(cubic_roots, *c), (_cubic_labelled, *c), (binet3, rec, 7)]
     if n in (2, 3):
-        calls += [(_seed_form, rec, n, f"binet{n}"), (_seed_form, rec, n, "m_form")]
+        calls.append((_seed_form, rec, n))
     return calls + [(verify, rec, 30)]
 
 
@@ -755,3 +755,28 @@ class TestMemo:
         assert kept == fresh
         assert again == fresh
         assert any(isinstance(outcome, tuple) for outcome in fresh)
+
+    def test_one_seed_form_per_recurrence(self, monkeypatch):
+        # m_form, binet2 and verify at order 2 share one stored MForm
+        built = []
+        init = MForm.__init__
+        monkeypatch.setattr(MForm, "__init__",
+                            lambda form, *args: built.append(args) or init(form, *args))
+        form = m_form(FIB)
+        ks = (0, 1, 10, 70)
+        values = [binet2(FIB, k) for k in ks]
+        assert verify(FIB, 30).passed
+        assert len(built) == 1
+        assert values == [form.evaluate(k) for k in ks]
+
+    @pytest.mark.parametrize("rec, call, text", [
+        (TRIB, lambda rec: binet2(rec, 3), "binet2 needs an order-2 recurrence"),
+        (FIB, lambda rec: binet3(rec, 3), "binet3 needs an order-3 recurrence"),
+        (TRIB, lambda rec: component(rec, "F", 2), "component F needs an order-2 recurrence"),
+        (FIB, lambda rec: component(rec, "A", 2), "component A needs an order-3 recurrence"),
+    ], ids=["binet2", "binet3", "component F", "component A"])
+    def test_wrong_order_is_refused_with_a_stored_seed_form(self, rec, call, text):
+        verify(rec, 10)  # stores rec's own seed form
+        with pytest.raises(ArityMismatch) as err:
+            call(rec)
+        assert str(err.value) == text

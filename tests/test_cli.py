@@ -78,7 +78,7 @@ class TestEval:
         assert payload["re"] == 1.0
 
     def test_long_product_evaluates(self, capsys):
-        # one Mul level per "*": evaluation must not recurse once per factor
+        # 5,000 factors in one flat Mul: evaluation must not recurse once per factor
         code, out, err = run(capsys, "eval", "*".join(["1"] * 5000))
         assert code == 0
         assert json.loads(out)["re"] == 1.0

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -91,11 +92,11 @@ class TestParse:
     def test_precedence(self):
         # ^ binds tighter than *, which binds tighter than chain symbols
         assert parse("1 / 2*3") == Chain(
-            (("+", Number(1.0)), ("/", Mul(Number(2.0), Number(3.0))))
+            (("+", Number(1.0)), ("/", Mul((Number(2.0), Number(3.0)))))
         )
-        assert parse("2*3^2") == Mul(Number(2.0), Pow(Number(3.0), 2))
+        assert parse("2*3^2") == Mul((Number(2.0), Pow(Number(3.0), 2)))
         assert parse("(1 / 2)*3") == Mul(
-            Chain((("+", Number(1.0)), ("/", Number(2.0)))), Number(3.0)
+            (Chain((("+", Number(1.0)), ("/", Number(2.0)))), Number(3.0))
         )
 
     def test_rot_literal_kept_as_written(self):
@@ -108,7 +109,13 @@ class TestParse:
         assert parse("i^+3") == Pow(Const("i"), 3)
 
     def test_mul_is_left_associative(self):
-        assert parse("2*3*4") == Mul(Mul(Number(2.0), Number(3.0)), Number(4.0))
+        # one flat Mul, multiplied left to right: (1e-300 * 1e-300) underflows
+        assert parse("2*3*4") == Mul((Number(2.0), Number(3.0), Number(4.0)))
+        assert evaluate(parse("1e-300*1e-300*1e300")) == 0j
+        # a parenthesised product stays one factor
+        assert parse("(2*3)*4") == Mul((Mul((Number(2.0), Number(3.0))), Number(4.0)))
+        assert parse("2*(3*4)") == Mul((Number(2.0), Mul((Number(3.0), Number(4.0)))))
+        assert parse("((2*3))") == Mul((Number(2.0), Number(3.0)))
 
     def test_errors_carry_spans(self):
         cases = {
@@ -238,15 +245,35 @@ class TestFormat:
         assert format_expr(Number(3.25)) == "3.25"
 
     def test_long_product_round_trip(self):
-        # 6,000 factors: one left-nested Mul level per "*"
+        # 6,000 factors in one flat Mul
         text = "*".join(["2", "(1 / 2)", "I^2"] * 2000)
         tree = parse(text)
         assert format_expr(tree) == text
-        factors = [parse(part) for part in text.split("*")]
-        while isinstance(tree, Mul):
-            assert tree.right == factors.pop()
-            tree = tree.left
-        assert factors == [tree]
+        assert tree == Mul(tuple(parse(part) for part in text.split("*")))
+
+    def test_ten_thousand_factors_compare_hash_and_print(self):
+        # one flat Mul: ==, hash and repr do not recurse once per factor;
+        # each group of four factors turns by pi/2 + 2pi/3 - pi/4 = 11pi/12
+        text = "*".join(["rot(1,4)", "(2 = 1)", "I^2", "J^-1"] * 2500)
+        tree, again = parse(text), parse(text)
+        assert tree is not again and tree == again
+        assert hash(tree) == hash(again)
+        assert repr(tree) == repr(again)
+        assert repr(tree).startswith("Mul(factors=(Rot(num=1, den=4), Chain(")
+        assert format_expr(tree) == text
+        assert parse(format_expr(tree)) == tree
+        assert abs(evaluate(tree) - cmath.exp(2500j * 11 * math.pi / 12)) < 1e-9
+
+    def test_parenthesised_products_keep_their_grouping(self):
+        for text in ("(2*3)*4", "2*(3*4)", "(2*3)*(4*5)", "((2*3)*4)*5", "(2*3)^2*4"):
+            assert format_expr(parse(text)) == text
+        assert format_expr(parse("((2*3))")) == "2*3"
+
+    @pytest.mark.parametrize("text", ["1e999", "2*1e999", "1e999 / 3", "(1e999)^2"])
+    def test_infinite_number_round_trip(self, text):
+        # parse makes an infinite Number; its text must parse back to it
+        tree = parse(text)
+        assert parse(format_expr(tree)) == tree
 
     def test_random_round_trip(self):
         rng = random.Random(20210)

@@ -53,8 +53,8 @@ CASES = [
     (lambda: Const("I"), ("name",), "Const(name='I')"),
     (lambda: Rot(-1, 3), ("num", "den"), "Rot(num=-1, den=3)"),
     (
-        lambda: Mul(Number(2.0), Const("J")), ("left", "right"),
-        "Mul(left=Number(value=2.0), right=Const(name='J'))",
+        lambda: Mul((Number(2.0), Const("J"))), ("factors",),
+        "Mul(factors=(Number(value=2.0), Const(name='J')))",
     ),
     (
         lambda: Pow(Const("i"), -2), ("base", "exponent"),

@@ -65,7 +65,8 @@ class ArityMismatch(DomainError):
 
 
 class BranchSelectionFailed(DomainError):
-    """No cube-root branch pair satisfies the resolvent constraint."""
+    """Kept so that callers which catch it still import; nothing raises it.
+    The cubic resolvents are paired by construction (sigma2 = B / sigma1)."""
 
 
 class NoConvergence(DomainError):

@@ -6,10 +6,11 @@ Durand-Kerner iteration.  The same rotor weights drive the permutation-table
 machinery: extracting resolvent values from a root tuple and reconstructing
 the roots back from those values.
 
-Every closed form of a recurrence starts from the same roots, so the solvers
-here and the form builders in `binet` are wrapped in `_memo`: each remembers
-its results for the last `_MEMO_SIZE` argument tuples it solved, keyed by
-`repr`, and a repeated call returns the stored record instead of solving again.
+Every closed form of a recurrence starts from the same roots, so the root
+solves here (the labelled closed forms and `numeric_roots`) and the form
+builders in `binet` are wrapped in `_memo`: each remembers its results for the
+last `_MEMO_SIZE` argument tuples it solved, keyed by `repr`, and a repeated
+call returns the stored record instead of solving again.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from operator import add, mul
 
 from .errors import (
     ArityMismatch,
-    BranchSelectionFailed,
     InconsistentSigmas,
     NoConvergence,
     TermOverflow,
@@ -30,9 +30,7 @@ from .errors import (
 )
 from .record import Record
 from .recurrence import CharPoly, as_float
-from .unity import THIRD, rotor_pow, rotor_value, signature_rows
-
-_OMEGA = rotor_value(THIRD)
+from .unity import rotor_pow, rotor_value, signature_rows
 
 # Argument tuples each memo remembers.  The closed forms of one recurrence
 # reuse a handful of entries (its roots, weights, seed and M forms), so this
@@ -144,7 +142,6 @@ def _quadratic_labelled(c0: float, c1: float):
     return _from_resolvents(c1, (sigma1,)), sigma1
 
 
-@_memo
 def quadratic_roots(c0: float, c1: float):
     """Roots of x^2 = c1 x + c0 and the resolvent difference sigma1.
 
@@ -159,9 +156,12 @@ def quadratic_roots(c0: float, c1: float):
 def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     """Resolvent cube roots (sigma1, sigma2) for x^3 = c2 x^2 + c1 x + c0.
 
-    sigma1^3 and sigma2^3 are the two roots of y^2 - A y + B^3 with
-    A = 2 c2^3 + 9 c1 c2 + 27 c0 and B = c2^2 + 3 c1.  The cube-root
-    branches are paired so that sigma1 * sigma2 = B.
+    sigma1^3 and sigma2^3 are the two roots y1, y2 of y^2 - A y + B^3 with
+    A = 2 c2^3 + 9 c1 c2 + 27 c0 and B = c2^2 + 3 c1.  sigma1 is the principal
+    cube root of y1 = (A + sqrt(A^2 - 4 B^3))/2 and sigma2 = B / sigma1, so
+    sigma1 * sigma2 = B by construction.  When |y1| < |y2|, the sum for y1
+    cancels (|A| >> |B|^(3/2)), so y1 is taken as B^3 / y2 instead (Vieta).
+    sigma1 = 0 forces B = 0; sigma2 is then the principal cube root of y2.
     """
     try:
         A = 2.0 * c2 ** 3 + 9.0 * c1 * c2 + 27.0 * c0
@@ -172,23 +172,12 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     if not math.isfinite(disc):
         raise TermOverflow("the cubic resolvent discriminant is beyond float range")
     sq = cmath.sqrt(complex(disc))
-    y1 = (A + sq) / 2.0
-    y2 = (A - sq) / 2.0
-    sigma1 = y1 ** (1.0 / 3.0) if y1 != 0 else 0j
-    base = y2 ** (1.0 / 3.0) if y2 != 0 else 0j
-    scale = 1.0 + abs(B)
-    best = None
-    best_err = math.inf
-    for k in range(3):
-        cand = base * _OMEGA ** k
-        err = abs(sigma1 * cand - B)
-        if err < best_err:
-            best, best_err = cand, err
-    if best_err > 1e-6 * scale:
-        raise BranchSelectionFailed(
-            f"no cube-root pairing satisfies sigma1*sigma2 = B (best error {best_err:.3g})"
-        )
-    return ResolventSet(3, (sigma1, best), A, B)
+    y1, y2 = (A + sq) / 2.0, (A - sq) / 2.0
+    if abs(y1) < abs(y2):
+        y1 = B ** 3 / y2
+    sigma1 = y1 ** (1.0 / 3.0)
+    sigma2 = B / sigma1 if sigma1 else y2 ** (1.0 / 3.0)
+    return ResolventSet(3, (sigma1, sigma2), A, B)
 
 
 @_memo
@@ -198,7 +187,6 @@ def _cubic_labelled(c0: float, c1: float, c2: float):
     return _from_resolvents(c2, res.sigmas), res
 
 
-@_memo
 def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
     """Closed-form roots of x^3 = c2 x^2 + c1 x + c0 via the resolvents."""
     labelled, _ = _cubic_labelled(c0, c1, c2)

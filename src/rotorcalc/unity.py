@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DuplicateElements, InvalidOrder, ZeroResultant
+from .errors import ArityMismatch, DuplicateElements, InvalidOrder, ZeroResultant
 from .record import Record
 
 
@@ -290,9 +290,17 @@ def diff_reference(table: GroupTable, name: str) -> list[Discrepancy]:
     """Cells where the computed table differs from the reference transcription.
 
     The table must use the family order the reference was transcribed in
-    (family_elements(name)).
+    (family_elements(name)).  A name with no reference is an InvalidOrder, a
+    table of another size an ArityMismatch.
     """
-    reference = REFERENCE_TABLES[name]
+    try:
+        reference = REFERENCE_TABLES[name]
+    except KeyError:
+        raise InvalidOrder(f"no reference table for family {name!r}") from None
+    if len(table.elements) != len(reference):
+        raise ArityMismatch(
+            f"the {name} reference has {len(reference)} elements, the table {len(table.elements)}"
+        )
     out = []
     for i in range(len(table.elements)):
         for j in range(len(table.elements)):

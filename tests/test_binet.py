@@ -221,6 +221,19 @@ class TestBinet3:
             assert abs(got - want) <= 1e-8 * max(1, abs(want))
         assert round(binet3(TRI_LUCAS, 6)) == 39
 
+    def test_large_constant_term(self):
+        # x^3 = x + 1e6: |A| >> |B|^(3/2), one real root near 100
+        rec = Recurrence((1000000, 1, 0), (0, 0, 1))
+        # small terms such as x_6 = 1 are sums of powers of modulus ~100^6, so
+        # they carry absolute errors ~4e-8, as verify reports
+        exact = iterate(rec, 9)
+        for k, want in enumerate(exact):
+            assert abs(binet3(rec, k) - want) <= 1e-6 * max(1, abs(want))
+        assert abs(m_form(rec).evaluate(5) - exact[5]) <= 1e-6 * exact[5]
+        assert cmath.isfinite(component(rec, "A", 5))
+        report = verify(rec, 100)  # answers, with passed=False at rel_tol 1e-8
+        assert set(report.paths) == {"weights", "binet3", "m_form"}
+
     def test_wrong_order(self):
         with pytest.raises(ArityMismatch):
             binet3(FIB, 3)
@@ -289,14 +302,14 @@ class TestMForm:
             "roots=((1.618033988749895+0j), (-0.6180339887498949+0j)))"
         )
         assert repr(m_form(TRIB)) == (
-            "MForm(order=3, coefficients=((-1.3814438371530488e-33-3.732881970141444e-17j), "
-            "(0.28261655416012327+1.4256235781270036e-16j), "
-            "(0.053611562834817904-1.065273094564336e-16j)), "
+            "MForm(order=3, coefficients=((-2.7628876743060948e-33-3.732881970141441e-17j), "
+            "(0.28261655416012327+1.3333326834748665e-16j), "
+            "(0.053611562834817904-9.424143792245034e-17j)), "
             "signatures=((Rotor(num=0, den=1), Rotor(num=0, den=1), Rotor(num=0, den=1)), "
             "(Rotor(num=0, den=1), Rotor(num=1, den=3), Rotor(num=2, den=3)), "
             "(Rotor(num=0, den=1), Rotor(num=2, den=3), Rotor(num=1, den=3))), "
             "roots=((1.839286755214161+0j), (-0.4196433776070809-0.606290729207199j), "
-            "(-0.4196433776070805+0.6062907292071994j)))"
+            "(-0.4196433776070805+0.6062907292071993j)))"
         )
 
     def test_equality_ignores_root_weights(self):

@@ -19,6 +19,7 @@ from rotorcalc.roots import (
     _MEMO_SIZE,
     _PINV4,
     _ROWS4,
+    _cubic_labelled,
     _memo,
     cubic_resolvents,
     cubic_roots,
@@ -113,6 +114,17 @@ class TestCubicResolvents:
             cubic_resolvents(1, 1, 1e120)
 
 
+def assert_cubic_answers(c0, c1, c2):
+    """cubic_roots answers with every residual within 1e-12 of the size of the
+    polynomial's terms at the root, and sigma1 * sigma2 = B."""
+    rs = cubic_roots(c0, c1, c2)
+    for r, residual in zip(rs.roots, rs.residuals):
+        R = max(1.0, abs(r))
+        assert residual <= 1e-12 * (R ** 3 + abs(c2) * R ** 2 + abs(c1) * R + abs(c0)), (c0, c1, c2)
+    res = cubic_resolvents(c0, c1, c2)
+    assert abs(res.sigmas[0] * res.sigmas[1] - res.B) <= 1e-12 * (1 + abs(res.B)), (c0, c1, c2)
+
+
 class TestCubicRoots:
     def test_integer_factors(self):
         # (x-1)(x-2)(x-3): x^3 = 6x^2 - 11x + 6
@@ -133,6 +145,21 @@ class TestCubicRoots:
             rs = cubic_roots(*c)
             scale = 1 + max(abs(v) for v in c)
             assert max(rs.residuals) <= 1e-8 * scale
+
+    def test_random_cubics_answer_accurately(self):
+        # integral, quarter-grid and large-constant-term (|c0| up to 1e12) cubics
+        rng = random.Random(1313)
+        for _ in range(500):
+            assert_cubic_answers(*(rng.randint(-9, 9) for _ in range(3)))
+            assert_cubic_answers(*(rng.randint(-36, 36) / 4 for _ in range(3)))
+            assert_cubic_answers(rng.choice((-1, 1)) * 10 ** rng.uniform(0, 12),
+                                 rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    @pytest.mark.parametrize("c", [(1e6, 1, 0), (1e8, 3, 0), (-1e6, 1, 0), (1e12, 1, 0)],
+                             ids=["1e6,1,0", "1e8,3,0", "-1e6,1,0", "1e12,1,0"])
+    def test_large_constant_term(self, c):
+        # |A| >> |B|^(3/2): (A - sqrt(A^2 - 4 B^3))/2 cancels to noise
+        assert_cubic_answers(*c)
 
     def test_beyond_float_range(self):
         # B ** 3 with B = 3e200 leaves float range as a float power
@@ -354,8 +381,8 @@ class TestMemo:
     def test_every_solver_and_form_builder_remembers(self):
         names = {fn.__name__ for fn in memos()}
         assert names == {
-            "_quadratic_labelled", "quadratic_roots", "_cubic_labelled", "cubic_roots",
-            "numeric_roots", "solve_weights", "_seed_form", "m_form",
+            "_quadratic_labelled", "_cubic_labelled", "numeric_roots",
+            "solve_weights", "_seed_form", "m_form",
         }
 
     @pytest.mark.parametrize("first, second", [
@@ -386,9 +413,9 @@ class TestMemo:
         assert repr(quadratic_roots(-1.0, -0.0)) == repr(minus)
 
     def test_a_hit_returns_the_stored_result(self):
-        first = cubic_roots(1, 1, 1)
-        assert cubic_roots(1, 1, 1) is first
-        assert cubic_roots(1.0, 1, 1) is not first
+        first = _cubic_labelled(1, 1, 1)
+        assert _cubic_labelled(1, 1, 1) is first
+        assert _cubic_labelled(1.0, 1, 1) is not first
 
     def test_overflow_is_raised_on_every_call(self):
         messages = []

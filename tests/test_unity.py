@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rotorcalc.errors import DuplicateElements, InvalidOrder, ZeroResultant
+from rotorcalc.errors import ArityMismatch, DuplicateElements, InvalidOrder, ZeroResultant
 from rotorcalc.unity import (
     EIGHTH,
     FAMILY_ORDERS,
@@ -272,6 +272,20 @@ class TestReferenceTables:
         for name in ("R3", "R4", "union3"):
             table = multiplication_table(family_elements(name))
             assert diff_reference(table, name) == []
+
+    @pytest.mark.parametrize("family, name", [("C3", "C3"), ("C4", "C4"), ("R3", "R5")])
+    def test_a_name_without_a_reference_is_refused(self, family, name):
+        table = multiplication_table(family_elements(family))
+        with pytest.raises(InvalidOrder, match=f"no reference table for family '{name}'"):
+            diff_reference(table, name)
+
+    @pytest.mark.parametrize("family, name", [("union8", "R3"), ("R3", "union8")])
+    def test_a_table_of_another_size_is_refused(self, family, name):
+        # the larger table would index past the reference; the smaller one
+        # would be compared against its top-left corner only
+        table = multiplication_table(family_elements(family))
+        with pytest.raises(ArityMismatch):
+            diff_reference(table, name)
 
     def test_union8_known_bad_cells(self):
         table = multiplication_table(family_elements("union8"))

@@ -6,11 +6,10 @@ Durand-Kerner iteration.  The same rotor weights drive the permutation-table
 machinery: extracting resolvent values from a root tuple and reconstructing
 the roots back from those values.
 
-Every closed form of a recurrence starts from the same roots, so the root
-solves here (the labelled closed forms and `numeric_roots`) and the form
-builders in `binet` are wrapped in `_memo`: each remembers its results for the
-last `_MEMO_SIZE` argument tuples it solved, keyed by `repr`, and a repeated
-call returns the stored record instead of solving again.
+Every closed form of a recurrence starts from the same roots, so the solvers
+here and the form builders in `binet` are wrapped in `_memo`: each remembers
+its results for the last `_MEMO_SIZE` argument tuples it solved, keyed by
+`repr`, and a repeated call returns the stored record instead of solving again.
 """
 from __future__ import annotations
 
@@ -142,6 +141,7 @@ def _quadratic_labelled(c0: float, c1: float):
     return _from_resolvents(c1, (sigma1,)), sigma1
 
 
+@_memo
 def quadratic_roots(c0: float, c1: float):
     """Roots of x^2 = c1 x + c0 and the resolvent difference sigma1.
 
@@ -159,8 +159,8 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     sigma1^3 and sigma2^3 are the two roots y1, y2 of y^2 - A y + B^3 with
     A = 2 c2^3 + 9 c1 c2 + 27 c0 and B = c2^2 + 3 c1.  sigma1 is the principal
     cube root of y1 = (A + sqrt(A^2 - 4 B^3))/2 and sigma2 = B / sigma1, so
-    sigma1 * sigma2 = B by construction.  When |y1| < |y2|, the sum for y1
-    cancels (|A| >> |B|^(3/2)), so y1 is taken as B^3 / y2 instead (Vieta).
+    sigma1 * sigma2 = B by construction.  When |y1| < |y2| that sum cancels
+    (|A| >> |B|^(3/2)); y1 = B^3 / y2 (Vieta) instead, built as |B| / |y2|^(1/3).
     sigma1 = 0 forces B = 0; sigma2 is then the principal cube root of y2.
     """
     try:
@@ -173,11 +173,12 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
         raise TermOverflow("the cubic resolvent discriminant is beyond float range")
     sq = cmath.sqrt(complex(disc))
     y1, y2 = (A + sq) / 2.0, (A - sq) / 2.0
-    if abs(y1) < abs(y2):
-        y1 = B ** 3 / y2
-    sigma1 = y1 ** (1.0 / 3.0)
-    sigma2 = B / sigma1 if sigma1 else y2 ** (1.0 / 3.0)
-    return ResolventSet(3, (sigma1, sigma2), A, B)
+    if abs(y1) < abs(y2):  # disc > 0, so y1 is real: arg pi/3 when negative
+        arg = math.pi / 3 if (B < 0) != (y2.real < 0) else 0.0
+        sigma1 = cmath.rect(abs(B) / abs(y2) ** (1.0 / 3.0), arg)  # B^3 / y2 may underflow
+    else:
+        sigma1 = y1 ** (1.0 / 3.0)
+    return ResolventSet(3, (sigma1, B / sigma1 if sigma1 else y2 ** (1.0 / 3.0)), A, B)
 
 
 @_memo
@@ -187,6 +188,7 @@ def _cubic_labelled(c0: float, c1: float, c2: float):
     return _from_resolvents(c2, res.sigmas), res
 
 
+@_memo
 def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
     """Closed-form roots of x^3 = c2 x^2 + c1 x + c0 via the resolvents."""
     labelled, _ = _cubic_labelled(c0, c1, c2)

@@ -234,6 +234,16 @@ class TestBinet3:
         report = verify(rec, 100)  # answers, with passed=False at rel_tol 1e-8
         assert set(report.paths) == {"weights", "binet3", "m_form"}
 
+    def test_negative_resolvent_cubes_keep_the_labelling(self):
+        # x^3 = x - 1: both resolvent cubes are negative reals; component A is
+        # tied to sigma1, the principal cube root of y1
+        rec = Recurrence((-1, 1, 0), (0, 0, 1))
+        want = (0.05940988917756476 - 0.10290094652757838j,
+                -0.0068655665770674884 + 0.011891510134227687j,
+                0.05940988917756461 - 0.10290094652757852j)
+        for k, w in enumerate(want, 1):
+            assert abs(component(rec, "A", k) - w) <= 1e-12
+
     def test_wrong_order(self):
         with pytest.raises(ArityMismatch):
             binet3(FIB, 3)

@@ -19,7 +19,6 @@ from rotorcalc.roots import (
     _MEMO_SIZE,
     _PINV4,
     _ROWS4,
-    _cubic_labelled,
     _memo,
     cubic_resolvents,
     cubic_roots,
@@ -108,6 +107,14 @@ class TestCubicResolvents:
             y_sum = s1 ** 3 + s2 ** 3
             assert abs(y_sum - res.A) <= 1e-8 * (1 + abs(res.A))
 
+    def test_negative_y1_takes_the_principal_branch(self):
+        # x^3 = x - 1: A = -27, B = 3, both resolvent cubes are negative reals
+        # and |y1| < |y2|.  sigma1 is the principal cube root of y1 (arg pi/3),
+        # not its conjugate, so the roots keep the labelling of y1 = (A + sq)/2.
+        s1, s2 = cubic_resolvents(-1, 1, 0).sigmas
+        assert abs(s1 - (0.5065901264600882 + 0.8774398376416152j)) <= 1e-12
+        assert abs(s2 - (1.4804868094070294 - 2.564278373828519j)) <= 1e-12
+
     def test_beyond_float_range(self):
         # c2 ** 3 leaves float range as a float power
         with pytest.raises(TermOverflow):
@@ -123,6 +130,8 @@ def assert_cubic_answers(c0, c1, c2):
         assert residual <= 1e-12 * (R ** 3 + abs(c2) * R ** 2 + abs(c1) * R + abs(c0)), (c0, c1, c2)
     res = cubic_resolvents(c0, c1, c2)
     assert abs(res.sigmas[0] * res.sigmas[1] - res.B) <= 1e-12 * (1 + abs(res.B)), (c0, c1, c2)
+    if res.A * res.A > 4.0 * res.B ** 3:  # y1 is real: principal cube root has arg 0 or pi/3
+        assert res.sigmas[0].imag >= 0, (c0, c1, c2)
 
 
 class TestCubicRoots:
@@ -160,6 +169,11 @@ class TestCubicRoots:
     def test_large_constant_term(self, c):
         # |A| >> |B|^(3/2): (A - sqrt(A^2 - 4 B^3))/2 cancels to noise
         assert_cubic_answers(*c)
+
+    @pytest.mark.parametrize("c1", [1.51e-108, -1.51e-108])
+    def test_tiny_B_does_not_underflow(self, c1):
+        # A = -27, |B| ~ 4.5e-108: B^3 / y2 would be subnormal, with few bits
+        assert_cubic_answers(-1, c1, 0)
 
     def test_beyond_float_range(self):
         # B ** 3 with B = 3e200 leaves float range as a float power
@@ -381,8 +395,8 @@ class TestMemo:
     def test_every_solver_and_form_builder_remembers(self):
         names = {fn.__name__ for fn in memos()}
         assert names == {
-            "_quadratic_labelled", "_cubic_labelled", "numeric_roots",
-            "solve_weights", "_seed_form", "m_form",
+            "_quadratic_labelled", "quadratic_roots", "_cubic_labelled", "cubic_roots",
+            "numeric_roots", "solve_weights", "_seed_form", "m_form",
         }
 
     @pytest.mark.parametrize("first, second", [
@@ -413,9 +427,9 @@ class TestMemo:
         assert repr(quadratic_roots(-1.0, -0.0)) == repr(minus)
 
     def test_a_hit_returns_the_stored_result(self):
-        first = _cubic_labelled(1, 1, 1)
-        assert _cubic_labelled(1, 1, 1) is first
-        assert _cubic_labelled(1.0, 1, 1) is not first
+        first = cubic_roots(1, 1, 1)
+        assert cubic_roots(1, 1, 1) is first
+        assert cubic_roots(1.0, 1, 1) is not first
 
     def test_overflow_is_raised_on_every_call(self):
         messages = []

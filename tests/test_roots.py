@@ -164,16 +164,14 @@ class TestCubicRoots:
             assert_cubic_answers(rng.choice((-1, 1)) * 10 ** rng.uniform(0, 12),
                                  rng.uniform(-3, 3), rng.uniform(-3, 3))
 
-    @pytest.mark.parametrize("c", [(1e6, 1, 0), (1e8, 3, 0), (-1e6, 1, 0), (1e12, 1, 0)],
-                             ids=["1e6,1,0", "1e8,3,0", "-1e6,1,0", "1e12,1,0"])
+    @pytest.mark.parametrize("c", [
+        (1e6, 1, 0), (1e8, 3, 0), (-1e6, 1, 0), (1e12, 1, 0),
+        # A = -27, |B| ~ 4.5e-108: the quotient B^3 / y2 would be subnormal
+        (-1, 1.51e-108, 0), (-1, -1.51e-108, 0),
+    ], ids=["1e6,1,0", "1e8,3,0", "-1e6,1,0", "1e12,1,0", "tiny_B", "tiny_negative_B"])
     def test_large_constant_term(self, c):
         # |A| >> |B|^(3/2): (A - sqrt(A^2 - 4 B^3))/2 cancels to noise
         assert_cubic_answers(*c)
-
-    @pytest.mark.parametrize("c1", [1.51e-108, -1.51e-108])
-    def test_tiny_B_does_not_underflow(self, c1):
-        # A = -27, |B| ~ 4.5e-108: B^3 / y2 would be subnormal, with few bits
-        assert_cubic_answers(-1, c1, 0)
 
     def test_beyond_float_range(self):
         # B ** 3 with B = 3e200 leaves float range as a float power

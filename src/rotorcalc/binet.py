@@ -1,8 +1,9 @@
 """Closed forms for linear recurrences.
 
 Every closed form here is one weighted power sum over the characteristic
-roots, x_k = sum_m W_m r_m^k: `_power_sum` at one k, and `_power_sums` at
-k = 0..kmax from a `PowerTable` of each distinct root's powers.  `_powers`
+roots, x_k = sum_m W_m r_m^k: `_power_sum` at one k, and `_power_sums` over
+a `PowerTable`'s range of k, a column of sums built one root at a time from
+each distinct root's row of powers.  `_powers`
 (r ** k, infinite past float range) and `_finite` (TermOverflow on a
 non-finite term) hold the overflow rule both share.  The routes differ only
 in where the weights W come from:
@@ -16,9 +17,11 @@ in where the weights W come from:
 - `component`: one chain row, W_m = value(sig_j[m]), the signed rows divided
   by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
 
-`verify` checks each applicable form against iteration in one batched pass,
-`form.terms(table)`, with one power table shared by every form; the terms
-are bit-identical to `evaluate(k)`.
+`verify` checks each applicable form against iteration block by block: for
+each block of `_BLOCK` consecutive k it reads that many exact terms, builds
+one power table shared by every form, and folds each form's errors,
+`form.terms(table)`, into the path's running max.  Memory stays O(block)
+however large kmax is, and the terms are bit-identical to `evaluate(k)`.
 
 Each characteristic polynomial is solved once.  `solve_weights`, `_seed_form`
 (behind binet2, binet3 and verify) and `m_form` remember their forms, as the
@@ -30,12 +33,12 @@ Refusals are not stored; they are raised again on every call.
 from __future__ import annotations
 
 import cmath
-from itertools import repeat
-from operator import mul, sub, truediv
+from itertools import chain, islice, repeat
+from operator import add, attrgetter, mul, sub, truediv
 
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
 from .record import Record
-from .recurrence import Recurrence, as_float, characteristic_polynomial, iterate
+from .recurrence import Recurrence, as_float, characteristic_polynomial, exact_terms, iterate
 from .roots import (
     CHAIN_ROWS,
     RootSet,
@@ -50,6 +53,7 @@ from .roots import (
 from .unity import rotor_value
 
 _INT_SNAP_LIMIT = 2.0 ** 52
+_BLOCK = 4096  # consecutive k that verify evaluates at once
 
 
 def _powers(roots, ks) -> list:
@@ -80,34 +84,39 @@ def _power_sum(weights, roots, k: int) -> complex:
 
 
 class PowerTable:
-    """Each root's powers r^0..r^kmax, computed on first lookup and shared by
-    every form evaluated against this table.
+    """Each root's powers r^k for k = first..kmax, computed on first lookup
+    and shared by every form evaluated against this table.
 
     Rows are keyed by repr, which tells a float from a complex and 0.0 from
     -0.0, so a shared row holds exactly the bits `r ** k` gives each root.
     """
 
-    __slots__ = ("kmax", "_rows")
+    __slots__ = ("ks", "_rows")
 
-    def __init__(self, kmax: int):
-        self.kmax = kmax
+    def __init__(self, kmax: int, first: int = 0):
+        self.ks = range(first, kmax + 1)
         self._rows = {}
 
     def row(self, r) -> list:
         key = repr(r)
         row = self._rows.get(key)
         if row is None:
-            row = self._rows[key] = _powers(repeat(r), range(self.kmax + 1))
+            row = self._rows[key] = _powers(repeat(r), self.ks)
         return row
 
 
 def _power_sums(weights, roots, table: PowerTable):
-    """_power_sum(weights, roots, k) for k = 0..table.kmax, in order; a term
-    beyond float range raises TermOverflow once the caller reaches it."""
-    sums = [sum(map(mul, weights, powers)) for powers in zip(*map(table.row, roots))]
+    """_power_sum(weights, roots, k) for each k of table.ks, in order; a term
+    beyond float range raises TermOverflow once the caller reaches it.
+
+    The column of sums starts at int 0 and adds one root's w * r^k at a
+    time, the additions `sum` makes at one k, in the same order."""
+    sums = [0] * len(table.ks)
+    for w, powers in zip(weights, map(table.row, roots)):
+        sums = list(map(add, sums, map(mul, repeat(w), powers)))
     if all(map(cmath.isfinite, sums)):
         return sums
-    return map(_finite, sums, range(len(sums)))
+    return map(_finite, sums, table.ks)
 
 
 def _fold(coefficients, values) -> tuple:
@@ -131,9 +140,8 @@ class BinetForm(Record):
         return _power_sum(self.weights, self.roots.roots, k) + self.weights[-1]
 
     def terms(self, table: PowerTable):
-        """evaluate(k) for k = 0..table.kmax, the powers read from table."""
-        const = self.weights[-1]
-        return (s + const for s in _power_sums(self.weights, self.roots.roots, table))
+        """evaluate(k) for each k of table.ks, the powers read from table."""
+        return map(add, _power_sums(self.weights, self.roots.roots, table), repeat(self.weights[-1]))
 
 
 class MForm(Record):
@@ -160,8 +168,8 @@ class MForm(Record):
         return _power_sum(self.root_weights, self.roots, k).real
 
     def terms(self, table: PowerTable):
-        """evaluate(k) for k = 0..table.kmax, the powers read from table."""
-        return (s.real for s in _power_sums(self.root_weights, self.roots, table))
+        """evaluate(k) for each k of table.ks, the powers read from table."""
+        return map(attrgetter("real"), _power_sums(self.root_weights, self.roots, table))
 
 
 # value(sig_j[m]) of every chain row
@@ -370,8 +378,9 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
     """Compare every applicable closed form against exact iteration.
 
     Relative error uses max(1, |exact|) in the denominator so early zeros
-    do not blow up the measure.  Solver errors propagate to the caller, and
-    an exact term beyond float range raises TermOverflow.
+    do not blow up the measure.  Solver errors propagate to the caller first,
+    then an exact term beyond float range at any k <= kmax raises
+    TermOverflow, then each path's first error, in path order.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -380,14 +389,31 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
         forms[f"binet{rec.order}"] = _seed_form(rec, rec.order)
     if rec.order in (2, 3, 4):
         forms["m_form"] = m_form(rec)
-    # after the forms, so a solver error is reported ahead of an exact term's overflow
-    exact = [as_float(x) for x in iterate(rec, kmax + 1)]
-    scale = [max(1.0, abs(x)) for x in exact]
-    table = PowerTable(kmax)
 
+    # each distinct form is checked once: at order 2, m_form is binet2's form
+    checks = {id(form): form for form in forms.values()}
+    worst = dict.fromkeys(checks, ())  # each form's running max, carried between blocks
+    held = {}  # each form's first error, raised once every exact term converts
+    source = exact_terms(rec)
+    for lo in range(0, kmax + 1, _BLOCK):
+        hi = min(lo + _BLOCK, kmax + 1)
+        exact = list(map(as_float, islice(source, hi - lo)))
+        scale = [x if x > 1.0 else 1.0 for x in map(abs, exact)]  # max(1.0, |x|)
+        table = PowerTable(hi - 1, lo)
+        for key, form in checks.items():
+            if key in held:
+                continue
+            # |v - x| / max(1, |x|) for each term v and exact x, in k order
+            errors = map(truediv, map(abs, map(sub, form.terms(table), exact)), scale)
+            try:
+                worst[key] = (max(chain(worst[key], errors)),)
+            except TermOverflow as exc:
+                held[key] = exc
+    for key in checks:  # in path order
+        if key in held:
+            raise held[key]
     paths = {}
     for name, form in forms.items():
-        # |v - x| / max(1, |x|) for each term v and exact x, in k order
-        worst = max(map(truediv, map(abs, map(sub, form.terms(table), exact)), scale))
-        paths[name] = PathCheck(worst, worst <= rel_tol)
+        (w,) = worst[id(form)]
+        paths[name] = PathCheck(w, w <= rel_tol)
     return VerifyReport(kmax, rel_tol, paths, all(p.passed for p in paths.values()))

@@ -7,6 +7,8 @@ all-integer case runs in exact arbitrary-precision arithmetic.
 """
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
 from operator import mul
 
 from .errors import (
@@ -88,19 +90,27 @@ def from_general(a) -> tuple:
     return tuple(out)
 
 
-def iterate(rec: Recurrence, count: int):
-    """First `count` terms; exact integers when the recurrence is integral."""
+def exact_terms(rec: Recurrence):
+    """x_0, x_1, ... without end; exact integers when the recurrence is
+    integral.  Each step sums coeffs times the last n terms, so memory stays
+    O(n) however far the caller reads."""
     if rec.integral:
-        out = [int(x) for x in rec.seeds]
+        window = [int(x) for x in rec.seeds]
         coeffs = [int(c) for c in rec.coeffs]
     else:
-        out = [float(x) for x in rec.seeds]
+        window = [float(x) for x in rec.seeds]
         coeffs = [float(c) for c in rec.coeffs]
-    n = len(coeffs)
-    del out[count:]
-    for i in range(count - n):
-        out.append(sum(map(mul, coeffs, out[i:i + n])))
-    return out
+    yield from window
+    window = deque(window, len(coeffs))
+    while True:
+        x = sum(map(mul, coeffs, window))
+        window.append(x)
+        yield x
+
+
+def iterate(rec: Recurrence, count: int):
+    """First `count` terms of `exact_terms`."""
+    return list(islice(exact_terms(rec), count))
 
 
 def characteristic_polynomial(rec: Recurrence) -> CharPoly:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,7 +29,7 @@ from rotorcalc.errors import (
     TermOverflow,
     UnsupportedDegree,
 )
-from rotorcalc.recurrence import CharPoly, Recurrence, iterate
+from rotorcalc.recurrence import CharPoly, Recurrence, exact_terms, iterate
 from rotorcalc.roots import (
     CHAIN_ROWS,
     _cubic_labelled,
@@ -552,6 +553,66 @@ class TestBatchedPass:
             assert verify(rec, 40, 1e-8).passed
 
 
+def _verify_outcome(rec, kmax):
+    """verify's report, or the class and text of its refusal."""
+    try:
+        return verify(rec, kmax)
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _block_cases():
+    rng = random.Random(1515)
+    cases = []
+    for i in range(48):
+        draw = random_integral if i % 2 else random_quarter
+        cases.append((draw(rng, 1 + i % 4), rng.randint(0, 300)))
+    return cases
+
+
+class TestVerifyBlocks:
+    """verify walks k in blocks of _BLOCK; every block length gives the
+    reports and refusals of a single block."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_length_does_not_change_the_outcome(self, monkeypatch, block):
+        cases = _block_cases()
+        whole = [_verify_outcome(rec, kmax) for rec, kmax in cases]
+        monkeypatch.setattr(rotorcalc.binet, "_BLOCK", block, raising=False)
+        for (rec, kmax), want in zip(cases, whole):
+            got = _verify_outcome(rec, kmax)
+            assert got == want and repr(got) == repr(want), (rec, kmax)
+
+    @pytest.mark.parametrize("block", [100, None])
+    @pytest.mark.parametrize("rec, kmax, message", [
+        # x_k = 2^k: the weight-0 root 3 leaves float range at k=647, the
+        # exact terms at k=1024; the exact overflow is reported first
+        (Recurrence((-6, 5), (1, 2)), 1100, "an exact value is beyond float range"),
+        (Recurrence((-6, 5), (1, 2)), 700, "the closed-form term at k=647 is beyond float range"),
+        # x_k = 2(-1)^k, the weight-0 root 3 again
+        (Recurrence((3, 2), (2, -2)), 700, "the closed-form term at k=647 is beyond float range"),
+    ])
+    def test_overflow_refusals(self, monkeypatch, block, rec, kmax, message):
+        if block is not None:
+            monkeypatch.setattr(rotorcalc.binet, "_BLOCK", block, raising=False)
+        assert _verify_outcome(rec, kmax) == (TermOverflow, message)
+
+    def test_memory_does_not_grow_with_kmax(self, monkeypatch):
+        monkeypatch.setattr(rotorcalc.binet, "_BLOCK", 256, raising=False)
+        rec = Recurrence((-1, 0), (1, 0))  # roots +-i: bounded terms at every k
+        verify(rec, 1)  # the forms are solved and remembered before measuring
+
+        def peak(kmax):
+            tracemalloc.start()
+            try:
+                assert verify(rec, kmax).passed
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        small, large = peak(8 * 256), peak(32 * 256)
+        assert large <= 1.25 * small, (small, large)
+
+
 class TestHomogeneityConstant:
     def test_constant_weight_is_zero_without_root_at_one(self):
         rng = random.Random(88)
@@ -689,10 +750,10 @@ class TestTermOverflow:
 
     def test_verify_against_an_exact_term_beyond_float_range(self, monkeypatch):
         # a finite closed form compared with an exact int too large for a float
-        def iterate_with_huge_last(rec, count):
-            terms = iterate(rec, count)
-            return terms[:-1] + [10 ** 400] if count == 11 else terms
-        monkeypatch.setattr(rotorcalc.binet, "iterate", iterate_with_huge_last)
+        def terms_with_huge_x10(rec):
+            for k, x in enumerate(exact_terms(rec)):
+                yield 10 ** 400 if k == 10 else x
+        monkeypatch.setattr(rotorcalc.binet, "exact_terms", terms_with_huge_x10)
         with pytest.raises(TermOverflow):
             verify(FIB, 10)
 

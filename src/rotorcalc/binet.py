@@ -23,10 +23,11 @@ one power table shared by every form, and folds each form's errors,
 `form.terms(table)`, into the path's running max.  Memory stays O(block)
 however large kmax is, and the terms are bit-identical to `evaluate(k)`.
 
-Each characteristic polynomial is solved once.  `solve_weights`, `_seed_form`
-(behind binet2, binet3 and verify) and `m_form` remember their forms, as the
-root solvers in `roots` remember their roots: each keeps its last
-`roots._MEMO_SIZE` (16) results keyed by `repr` of the arguments, so a
+Each characteristic polynomial is solved once: every form reads the roots,
+resolvents and divisor from one `roots.root_analysis` of the coefficients.
+`solve_weights`, `_seed_form` (behind binet2, binet3 and verify) and `m_form`
+remember their forms, as the analysis remembers the roots: each keeps its
+last `roots._MEMO_SIZE` (16) results keyed by `repr` of the arguments, so a
 repeated call, verify's included, returns the stored form bit for bit.
 Refusals are not stored; they are raised again on every call.
 """
@@ -38,18 +39,10 @@ from operator import add, attrgetter, mul, sub, truediv
 
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
 from .record import Record
-from .recurrence import Recurrence, as_float, characteristic_polynomial, exact_terms, iterate
-from .roots import (
-    CHAIN_ROWS,
-    RootSet,
-    _cubic_labelled,
-    _memo,
-    _min_separation,
-    _quadratic_labelled,
-    cubic_roots,
-    numeric_roots,
-    quadratic_roots,
-)
+from .recurrence import Recurrence, as_float, exact_terms, iterate
+from .roots import CHAIN_ROWS, _memo, root_analysis
+# Not called here: the benchmark's tracer patches these names on this module.
+from .roots import _cubic_labelled, cubic_roots, numeric_roots, quadratic_roots  # noqa: F401
 from .unity import rotor_value
 
 _INT_SNAP_LIMIT = 2.0 ** 52
@@ -179,15 +172,6 @@ _M_VALUES = {
 }
 
 
-def _rootset_for(rec: Recurrence) -> RootSet:
-    n = rec.order
-    if n == 2:
-        return quadratic_roots(rec.coeffs[0], rec.coeffs[1])[0]
-    if n == 3:
-        return cubic_roots(rec.coeffs[0], rec.coeffs[1], rec.coeffs[2])
-    return numeric_roots(characteristic_polynomial(rec))
-
-
 def _guard_distinct(separation: float, rec: Recurrence):
     if rec.order >= 2 and separation <= 1e-7 * (1.0 + max(abs(c) for c in rec.coeffs)):
         raise DegenerateRoots(f"characteristic roots separated by only {separation:.3g}")
@@ -226,7 +210,7 @@ def solve_weights(rec: Recurrence) -> BinetForm:
     Repeated roots are rejected first; a root at 1 is rejected next because
     it makes the constant column a copy of a root-power column.
     """
-    rs = _rootset_for(rec)
+    rs = root_analysis(rec.coeffs).rootset
     _guard_distinct(rs.min_separation, rec)
     if any(abs(r - 1.0) <= 1e-9 for r in rs.roots):
         raise SingularSystem("a characteristic root at 1 collides with the constant column")
@@ -247,35 +231,10 @@ def closed_term(form: BinetForm, k: int) -> TermValue:
     return TermValue(value)
 
 
-def _resolvent_roots(rec: Recurrence, n: int, name: str):
-    """Order-n roots labelled by their resolvents, the resolvents, and the
-    divisor of the signed chains: sigma1 (n=2) or D = sigma1^3 - sigma2^3 (n=3)."""
-    if rec.order != n:
-        raise ArityMismatch(f"{name} needs an order-{n} recurrence")
-    if n == 2:
-        roots, sigma1 = _quadratic_labelled(*rec.coeffs)
-        return roots, (sigma1,), sigma1
-    roots, res = _cubic_labelled(*rec.coeffs)
-    s1, s2 = res.sigmas
-    return roots, res.sigmas, s1 ** 3 - s2 ** 3
-
-
-def _exact_discriminant(coeffs) -> int:
-    """The divisor's square in integers: sigma1^2 = c1^2 + 4 c0 at order 2,
-    D^2 = A^2 - 4 B^3 at order 3 (A, B as in `cubic_resolvents`)."""
-    c = [int(x) for x in coeffs]
-    if len(c) == 2:
-        return c[1] * c[1] + 4 * c[0]
-    a = 2 * c[2] ** 3 + 9 * c[1] * c[2] + 27 * c[0]
-    b = c[2] * c[2] + 3 * c[1]
-    return a * a - 4 * b ** 3
-
-
-def _refuse_zero(rec: Recurrence, divisor):
-    """Refuse a repeated root: a zero divisor, or, for integral coefficients,
-    a zero exact discriminant (rounding can leave D near 0 but not at it)."""
-    if divisor == 0 or (rec.integral and _exact_discriminant(rec.coeffs) == 0):
-        name = "sigma1" if rec.order == 2 else "D = sigma1^3 - sigma2^3"
+def _refuse_zero(analysis):
+    """Refuse a repeated root: a zero divisor of the signed chains."""
+    if analysis.divisor == 0:
+        name = "sigma1" if len(analysis.sigmas) == 1 else "D = sigma1^3 - sigma2^3"
         raise DegenerateRoots(f"repeated root: {name} = 0")
 
 
@@ -288,8 +247,11 @@ def _seed_form(rec: Recurrence, n: int) -> MForm:
     N1 = 9 s1 x2 - 3(2 c2 s1 + s2^2) x1 - ((c2^2 + 6 c1) s1 - c2 s2^2) x0
     and N2 the same with s1 and s2 exchanged.
     """
-    roots, sigmas, d = _resolvent_roots(rec, n, f"binet{n}")
-    _refuse_zero(rec, d)
+    if rec.order != n:
+        raise ArityMismatch(f"binet{n} needs an order-{n} recurrence")
+    a = root_analysis(rec.coeffs)
+    _refuse_zero(a)
+    roots, sigmas, d = a.labelled, a.sigmas, a.divisor
     if n == 2:
         x0, x1 = map(as_float, rec.seeds)
         return MForm(n, (complex(x0) / 2.0, (2.0 * x1 - rec.coeffs[1] * x0) / (2.0 * d)), roots)
@@ -334,15 +296,15 @@ def m_form(rec: Recurrence) -> MForm:
     n = rec.order
     if n not in (2, 3, 4):
         raise UnsupportedDegree(f"rotor expansion covers orders 2-4, not {n}")
+    a = root_analysis(rec.coeffs)
     if n == 2:
         form = _seed_form(rec, 2)
-        _guard_distinct(_min_separation(form.roots), rec)
+        _guard_distinct(a.rootset.min_separation, rec)
         return form
-    labelled = _cubic_labelled(*rec.coeffs)[0] if n == 3 else _rootset_for(rec).roots
-    _guard_distinct(_min_separation(labelled), rec)
-    matrix = [[_power_sum(row, labelled, k) for row in _M_VALUES[n]] for k in range(n)]
+    _guard_distinct(a.rootset.min_separation, rec)
+    matrix = [[_power_sum(row, a.labelled, k) for row in _M_VALUES[n]] for k in range(n)]
     coeffs = tuple(_solve(matrix, [complex(as_float(x)) for x in rec.seeds]))
-    return MForm(n, coeffs, tuple(labelled))
+    return MForm(n, coeffs, tuple(a.labelled))
 
 
 # component kind -> (order, chain row of CHAIN_ROWS[order])
@@ -359,11 +321,13 @@ def component(rec: Recurrence, kind: str, k: int) -> complex:
     if kind not in _CHAINS:
         raise ArityMismatch(f"unknown component kind {kind!r}")
     n, row = _CHAINS[kind]
-    roots, _, d = _resolvent_roots(rec, n, f"component {kind}")
+    if rec.order != n:
+        raise ArityMismatch(f"component {kind} needs an order-{n} recurrence")
+    a = root_analysis(rec.coeffs)
     if row == 0:
-        return _power_sum(_M_VALUES[n][0], roots, k)
-    _refuse_zero(rec, d)
-    return _power_sum(_M_VALUES[n][row], roots, k) / d
+        return _power_sum(_M_VALUES[n][0], a.labelled, k)
+    _refuse_zero(a)
+    return _power_sum(_M_VALUES[n][row], a.labelled, k) / a.divisor
 
 
 class PathCheck(Record):

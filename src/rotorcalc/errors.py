@@ -64,11 +64,6 @@ class ArityMismatch(DomainError):
     """Wrong number of roots/seeds/labels for the requested operation."""
 
 
-class BranchSelectionFailed(DomainError):
-    """Kept so that callers which catch it still import; nothing raises it.
-    The cubic resolvents are paired by construction (sigma2 = B / sigma1)."""
-
-
 class NoConvergence(DomainError):
     """Simultaneous root iteration exhausted its sweep budget."""
 

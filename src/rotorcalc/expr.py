@@ -111,6 +111,9 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+_MAX_NESTING = 100  # node levels; == and repr hit the recursion limit from ~170
+
+
 class _Parser:
     """Recursive-descent parser over the token list."""
 
@@ -118,6 +121,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.heights = {}  # levels of each node built, by id; all live until the end
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -128,14 +132,24 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def span(self) -> tuple[int, int]:
+        tok = self.peek()
+        return tok.span if tok else (len(self.text), len(self.text))
+
     def fail(self, expected: set[str]):
         tok = self.peek()
-        span = tok.span if tok else (len(self.text), len(self.text))
         found = tok.lexeme if tok else "end of input"
         raise ParseError(
             f"expected {', '.join(sorted(expected))}, found {found!r}",
-            span, frozenset(expected),
+            self.span(), frozenset(expected),
         )
+
+    def nest(self, node: Expr, children) -> Expr:
+        """node, one level above its highest child (an atom has level 0)."""
+        height = self.heights[id(node)] = 1 + max(self.heights.get(id(c), 0) for c in children)
+        if height > _MAX_NESTING:
+            raise ParseError("expression nests too deeply", self.span())
+        return node
 
     def expect(self, kind: str) -> Token:
         tok = self.peek()
@@ -162,20 +176,20 @@ class _Parser:
         # a lone term under a "+" (implicit or written) is just the term
         if len(items) == 1 and items[0][0] == "+":
             return items[0][1]
-        return Chain(tuple(items))
+        return self.nest(Chain(tuple(items)), [e for _, e in items])
 
     def term(self) -> Expr:
         factors = [self.factor()]
         while (tok := self.peek()) is not None and tok.kind == "star":
             self.next()
             factors.append(self.factor())
-        return Mul(tuple(factors)) if len(factors) > 1 else factors[0]
+        return self.nest(Mul(tuple(factors)), factors) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Expr:
         e = self.atom()
         if (tok := self.peek()) is not None and tok.kind == "caret":
             self.next()
-            e = Pow(e, self.signed_int())
+            e = self.nest(Pow(e, self.signed_int()), [e])
         return e
 
     def atom(self) -> Expr:
@@ -221,14 +235,13 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse text into an expression tree; ParseError on malformed input,
-    including nesting too deep for the recursive descent."""
+    on more than `_MAX_NESTING` levels of nodes, and on parentheses too deep
+    for the recursive descent."""
     parser = _Parser(text)
     try:
         return parser.parse()
     except RecursionError:
-        tok = parser.peek()
-        span = tok.span if tok else (len(text), len(text))
-        raise ParseError("expression nests too deeply", span) from None
+        raise ParseError("expression nests too deeply", parser.span()) from None
 
 
 def evaluate(e: Expr) -> complex:

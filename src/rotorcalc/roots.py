@@ -6,10 +6,12 @@ Durand-Kerner iteration.  The same rotor weights drive the permutation-table
 machinery: extracting resolvent values from a root tuple and reconstructing
 the roots back from those values.
 
-Every closed form of a recurrence starts from the same roots, so the solvers
-here and the form builders in `binet` are wrapped in `_memo`: each remembers
-its results for the last `_MEMO_SIZE` argument tuples it solved, keyed by
-`repr`, and a repeated call returns the stored record instead of solving again.
+Every closed form of a recurrence starts from the same roots, so one
+`root_analysis` of the coefficients holds them; the closed root solvers and
+the form builders in `binet` read it.  It, `numeric_roots` and those builders
+are wrapped in `_memo`: each remembers its results for the last `_MEMO_SIZE`
+argument tuples, keyed by `repr`, and a repeated call returns the stored
+record instead of solving again.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .record import Record
-from .recurrence import CharPoly, as_float
+from .recurrence import CharPoly, _is_integral, as_float
 from .unity import rotor_pow, rotor_value, signature_rows
 
 # Argument tuples each memo remembers.  The closed forms of one recurrence
@@ -91,17 +93,20 @@ def _sort_roots(roots):
     return tuple(sorted(roots, key=lambda z: (-abs(z), -z.real, -z.imag)))
 
 
-def _min_separation(roots) -> float:
-    if len(roots) < 2:
-        return math.inf
-    return min(abs(a - b) for a, b in itertools.combinations(roots, 2))
-
-
 class RootSet(Record):
     """Roots sorted by the modulus/real/imag convention, with |p(r)| per root
     in the same order as residuals; method is "closed2" | "closed3" | "numeric"."""
 
     __slots__ = _fields = ("roots", "residuals", "min_separation", "method")
+
+
+class RootAnalysis(Record):
+    """The sorted RootSet, the roots labelled by their resolvents (sigmas),
+    and the divisor of the signed chains: sigma1 at degree 2, D = sigma1^3 -
+    sigma2^3 at degree 3.  Other degrees keep the sorted roots as labelled,
+    with no sigmas and no divisor."""
+
+    __slots__ = _fields = ("rootset", "labelled", "sigmas", "divisor")
 
 
 class ResolventSet(Record):
@@ -118,7 +123,8 @@ class PermutationTable(Record):
 def _root_set(raw_roots, poly: CharPoly, method: str) -> RootSet:
     rts = _sort_roots(complex(r) for r in raw_roots)
     residuals = tuple(abs(poly.value(r)) for r in rts)
-    return RootSet(rts, residuals, _min_separation(rts), method)
+    separation = min((abs(a - b) for a, b in itertools.combinations(rts, 2)), default=math.inf)
+    return RootSet(rts, residuals, separation, method)
 
 
 def _from_resolvents(c_top, sigmas) -> tuple:
@@ -128,9 +134,8 @@ def _from_resolvents(c_top, sigmas) -> tuple:
     return tuple(reduce(add, map(mul, inverse, sigmas), c_top) / n for inverse in _INVERSE_ROWS[n])
 
 
-@_memo
 def _quadratic_labelled(c0: float, c1: float):
-    """Roots in the labelling tied to sigma1, plus sigma1 itself."""
+    """Roots in the labelling tied to sigma1, plus (sigma1,)."""
     try:
         disc = c1 * c1 + 4.0 * c0
     except OverflowError:  # an integer coefficient too large for a float
@@ -138,19 +143,17 @@ def _quadratic_labelled(c0: float, c1: float):
     if not math.isfinite(disc):
         raise TermOverflow("the quadratic discriminant is beyond float range")
     sigma1 = cmath.sqrt(complex(disc))
-    return _from_resolvents(c1, (sigma1,)), sigma1
+    return _from_resolvents(c1, (sigma1,)), (sigma1,)
 
 
-@_memo
 def quadratic_roots(c0: float, c1: float):
     """Roots of x^2 = c1 x + c0 and the resolvent difference sigma1.
 
     sigma1 is the principal square root of c1^2 + 4 c0; the roots are
     (c1 +/- sigma1)/2.  Returns (RootSet, sigma1).
     """
-    labelled, sigma1 = _quadratic_labelled(c0, c1)
-    poly = CharPoly(2, (c0, c1))
-    return _root_set(labelled, poly, "closed2"), sigma1
+    a = root_analysis((c0, c1))
+    return a.rootset, a.sigmas[0]
 
 
 def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
@@ -181,19 +184,43 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     return ResolventSet(3, (sigma1, B / sigma1 if sigma1 else y2 ** (1.0 / 3.0)), A, B)
 
 
-@_memo
 def _cubic_labelled(c0: float, c1: float, c2: float):
-    """Roots in the labelling tied to (sigma1, sigma2), plus the resolvents."""
-    res = cubic_resolvents(c0, c1, c2)
-    return _from_resolvents(c2, res.sigmas), res
+    """Roots in the labelling tied to (sigma1, sigma2), plus those sigmas."""
+    sigmas = cubic_resolvents(c0, c1, c2).sigmas
+    return _from_resolvents(c2, sigmas), sigmas
 
 
-@_memo
 def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
     """Closed-form roots of x^3 = c2 x^2 + c1 x + c0 via the resolvents."""
-    labelled, _ = _cubic_labelled(c0, c1, c2)
-    poly = CharPoly(3, (c0, c1, c2))
-    return _root_set(labelled, poly, "closed3")
+    return root_analysis((c0, c1, c2)).rootset
+
+
+def _exact_discriminant(coeffs) -> int:
+    """The divisor's square in integers: sigma1^2 = c1^2 + 4 c0 at degree 2,
+    D^2 = A^2 - 4 B^3 at degree 3 (A, B as in `cubic_resolvents`)."""
+    c = [int(x) for x in coeffs]
+    if len(c) == 2:
+        return c[1] * c[1] + 4 * c[0]
+    a = 2 * c[2] ** 3 + 9 * c[1] * c[2] + 27 * c[0]
+    b = c[2] * c[2] + 3 * c[1]
+    return a * a - 4 * b ** 3
+
+
+@_memo
+def root_analysis(coeffs: tuple) -> RootAnalysis:
+    """The roots of x^n = c_{n-1} x^(n-1) + ... + c_0: closed2 or closed3 at
+    degrees 2 and 3, `numeric_roots` at any other.  Integral coefficients with
+    a zero exact discriminant get a divisor of exactly 0 (rounding may not)."""
+    n = len(coeffs)
+    if n not in (2, 3):
+        rootset = numeric_roots(CharPoly(n, coeffs))
+        return RootAnalysis(rootset, rootset.roots, (), None)
+    labelled, sigmas = (_quadratic_labelled if n == 2 else _cubic_labelled)(*coeffs)
+    divisor = sigmas[0] if n == 2 else sigmas[0] ** 3 - sigmas[1] ** 3
+    if all(map(_is_integral, coeffs)) and _exact_discriminant(coeffs) == 0:
+        divisor = 0j
+    rootset = _root_set(labelled, CharPoly(n, coeffs), f"closed{n}")
+    return RootAnalysis(rootset, labelled, sigmas, divisor)
 
 
 @_memo

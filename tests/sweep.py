@@ -39,7 +39,7 @@ FIXED_RECURRENCES = [
     ((0, 0, 0), (1, 2, 3)), ((8, -12, 6), (1, 2, 3)), ((3, 2), (2, -2)), ((-1, 0), (1, 0)),
     ((-2, 1), (1, 1)), ((1, 0), (0, 1)), ((0.5, -1), (2, 1e200)), ((1e6, 1, 0), (0, 0, 1)),
     ((2,), (3,)), ((1, 0, 0, 0, 1), (1, 2, 3, 4, 5)), ((1, 1), (0, 10 ** 400)), ((1,), ()),
-    ((), ()),
+    ((), ()), ((-1, 1, 1), (0, 0, 0.5)),
 ]
 KS = (0, 1, 2, 5, 10, 30, 100, 1000)
 TABLES = ("R3", "C3", "R4", "C4", "union3", "union8", "R5")
@@ -277,6 +277,7 @@ def _record_samples():
         ("parse('~1 / rot(1,4)')", lambda: rc.parse("~1 / rot(1,4)")),
         ("cubic_roots(1, 1, 1)", lambda: rc.cubic_roots(1, 1, 1)),
         ("cubic_resolvents(1, 1, 1)", lambda: rc.cubic_resolvents(1, 1, 1)),
+        ("roots.root_analysis((1, 1, 1))", lambda: rc.roots.root_analysis((1, 1, 1))),
         ("permutation_tables(4)[3]", lambda: rc.permutation_tables(4)[3]),
         ("Recurrence([1, 1], [0, 1.5])", lambda: rc.Recurrence([1, 1], [0, 1.5])),
         ("characteristic_polynomial(TRIB)", lambda: rc.characteristic_polynomial(trib)),
@@ -290,9 +291,14 @@ def _record_samples():
 
 def sweep_records(s):
     """Every record type: its repr, == and hash against a second build, and
-    the refusal of an assignment."""
+    the refusal of an assignment.  A sample that cannot be built (a checkout
+    without its record type) is recorded as a refusal."""
     for how, factory in _record_samples():
-        a, b = factory(), factory()
+        try:
+            a, b = factory(), factory()
+        except Exception as exc:
+            s.lines.append(("refusals", f"records {how}", f"!{type(exc).__name__}: {exc}"))
+            continue
         try:
             same_hash = hash(a) == hash(b)
         except TypeError as exc:  # a record holding a dict, as VerifyReport does

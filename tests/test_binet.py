@@ -2,6 +2,8 @@ import cmath
 import math
 import random
 import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,12 +34,11 @@ from rotorcalc.errors import (
 from rotorcalc.recurrence import CharPoly, Recurrence, exact_terms, iterate
 from rotorcalc.roots import (
     CHAIN_ROWS,
-    _cubic_labelled,
-    _quadratic_labelled,
     cubic_resolvents,
     cubic_roots,
     numeric_roots,
     quadratic_roots,
+    root_analysis,
 )
 
 from helpers import clear_memos
@@ -454,6 +455,40 @@ class TestVerify:
         assert verify(TRIB, 50, 1e-8) == report
         assert calls == []
 
+    @pytest.mark.parametrize("rec, roots, steps", [
+        (FIB, lambda c: quadratic_roots(*c), {"sqrt": 1}),
+        (TETRA, lambda c: numeric_roots(CharPoly(4, c)), {"exp": 4}),
+    ], ids=["order2", "order4"])
+    def test_a_first_seen_request_solves_once(self, monkeypatch, rec, roots, steps):
+        # the steps only a real solve takes: one square root of the quadratic
+        # discriminant, one exp per Durand-Kerner start point
+        counts = Counter()
+
+        def counted(name):
+            def call(*args):
+                counts[name] += 1
+                return getattr(cmath, name)(*args)
+            return call
+        solver_cmath = SimpleNamespace(**{**vars(cmath), "sqrt": counted("sqrt"),
+                                          "exp": counted("exp")})
+        monkeypatch.setattr(rotorcalc.roots, "cmath", solver_cmath)
+        roots(rec.coeffs)
+        form = solve_weights(rec)
+        mform = m_form(rec)
+        for k in (1, 10, 100, 1000):
+            closed_term(form, k)
+            mform.evaluate(k)
+            if rec.order == 2:
+                binet2(rec, k)
+                component(rec, "F", k)
+                component(rec, "L", k)
+        report = verify(rec, 50, 1e-8)
+        assert report.passed
+        assert counts == steps
+        counts.clear()
+        assert verify(rec, 50, 1e-8) == report
+        assert counts == {}
+
     def test_checks_the_forms_without_snapping_terms(self, monkeypatch):
         calls = []
         original = rotorcalc.binet.closed_term
@@ -671,6 +706,19 @@ class TestExactRepeatedRoots:
         with pytest.raises(DegenerateRoots):
             binet3(Recurrence((-1.0, 1.0, 1.0), (0, 1, 2)), 30)
 
+    @pytest.mark.parametrize("coeffs", DOUBLE_ROOT_CUBICS.values(), ids=DOUBLE_ROOT_CUBICS)
+    def test_fractional_seeds_are_refused_too(self, coeffs):
+        # the discriminant depends on the coefficients alone
+        rec = Recurrence(coeffs, (0, 0, 0.5))
+        assert not rec.integral
+        with pytest.raises(DegenerateRoots, match=r"repeated root: D = sigma1\^3 - sigma2\^3 = 0"):
+            binet3(rec, 30)
+        for kind in "AB":
+            with pytest.raises(DegenerateRoots):
+                component(rec, kind, 5)
+        with pytest.raises(DegenerateRoots, match="repeated root: sigma1 = 0"):
+            binet2(Recurrence((-1, 2), (0, 0.5)), 30)
+
     def test_double_root_quadratic_refuses(self):
         # (x-1)^2: c1^2 + 4 c0 = 0
         rec = Recurrence((-1, 2), (0, 1))
@@ -778,11 +826,12 @@ def _outcome(fn, *args):
 def _memo_calls(rec):
     """Every remembering function, and a few that go through them, on rec."""
     n, c = rec.order, rec.coeffs
-    calls = [(numeric_roots, CharPoly(n, c)), (solve_weights, rec), (m_form, rec)]
+    calls = [(root_analysis, c), (numeric_roots, CharPoly(n, c)), (solve_weights, rec),
+             (m_form, rec)]
     if n == 2:
-        calls += [(quadratic_roots, *c), (_quadratic_labelled, *c), (binet2, rec, 7)]
+        calls += [(quadratic_roots, *c), (binet2, rec, 7)]
     if n == 3:
-        calls += [(cubic_roots, *c), (_cubic_labelled, *c), (binet3, rec, 7)]
+        calls += [(cubic_roots, *c), (binet3, rec, 7)]
     if n in (2, 3):
         calls.append((_seed_form, rec, n))
     return calls + [(verify, rec, 30)]

@@ -7,6 +7,7 @@ import pytest
 from helpers import OPSYMS, random_expr
 from rotorcalc.errors import EvaluationError, LexError, ParseError
 from rotorcalc.expr import (
+    _MAX_NESTING,
     CONST_ROTORS,
     OPSYM_ROTORS,
     Chain,
@@ -148,6 +149,28 @@ class TestParse:
             parse(text)
         assert str(err.value) == f"integer literal too long at {span[0]}..{span[1]}"
         assert err.value.span == span
+
+    # n levels of one node type: a Chain per "-(", a Mul per "2*(", a Pow per ")^1"
+    NESTED = {
+        "chain": lambda n: "-(" * n + "1" + ")" * n,
+        "mul": lambda n: "2*(" * (n - 1) + "2*2" + ")" * (n - 1),
+        "pow": lambda n: "(" * n + "2" + ")^1" * n,
+    }
+
+    @pytest.mark.parametrize("nested", NESTED.values(), ids=NESTED)
+    def test_nesting_at_the_cap_compares_and_prints(self, nested):
+        text = nested(_MAX_NESTING)
+        a, b = parse(text), parse(text)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert parse(format_expr(a)) == a
+        assert cmath.isfinite(evaluate(a))
+
+    @pytest.mark.parametrize("nested", NESTED.values(), ids=NESTED)
+    def test_nesting_past_the_cap_is_refused(self, nested):
+        text = nested(_MAX_NESTING + 1)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"expression nests too deeply at {len(text)}..{len(text)}"
 
     def test_error_message_and_expected_kinds(self):
         cases = {

@@ -13,6 +13,7 @@ from rotorcalc import (
     family_elements, multiplication_table, nth_roots, permutation_tables, tokenize,
 )
 from rotorcalc.expr import Chain, Const, Mul, Number, Pow, Rot
+from rotorcalc.roots import RootAnalysis
 
 
 def _root_set():
@@ -98,6 +99,13 @@ CASES = [
         "method='closed2')",
     ),
     (
+        lambda: RootAnalysis(_root_set(), (2 + 0j, -1 + 0j), (3 + 0j,), 3 + 0j),
+        ("rootset", "labelled", "sigmas", "divisor"),
+        "RootAnalysis(rootset=RootSet(roots=((2+0j), (-1+0j)), residuals=(0.0, 0.5), "
+        "min_separation=3.0, method='closed2'), labelled=((2+0j), (-1+0j)), sigmas=((3+0j),), "
+        "divisor=(3+0j))",
+    ),
+    (
         lambda: ResolventSet(3, (1 + 0j, 2j), 1.0, -2.0), ("degree", "sigmas", "A", "B"),
         "ResolventSet(degree=3, sigmas=((1+0j), 2j), A=1.0, B=-2.0)",
     ),
@@ -125,7 +133,7 @@ def _constructor_arguments(record, fields):
 
 
 def test_every_record_type_is_covered():
-    assert len({type(factory()) for factory, _, _ in CASES}) == 22
+    assert len({type(factory()) for factory, _, _ in CASES}) == 23
 
 
 @pytest.mark.parametrize("factory, fields, text", CASES, ids=_IDS)

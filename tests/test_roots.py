@@ -392,10 +392,7 @@ class TestClosedVersusNumeric:
 class TestMemo:
     def test_every_solver_and_form_builder_remembers(self):
         names = {fn.__name__ for fn in memos()}
-        assert names == {
-            "_quadratic_labelled", "quadratic_roots", "_cubic_labelled", "cubic_roots",
-            "numeric_roots", "solve_weights", "_seed_form", "m_form",
-        }
+        assert names == {"root_analysis", "numeric_roots", "solve_weights", "_seed_form", "m_form"}
 
     @pytest.mark.parametrize("first, second", [
         (0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1), (2 ** 60 + 1, float(2 ** 60 + 1)),

@@ -70,44 +70,31 @@ class Chain(Record):
 # The expression-tree node types (`Expr` in annotations).
 Expr = (Number, Const, Rot, Mul, Pow, Chain)
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_WORD = re.compile(r"[A-Za-z]+")
-_SINGLE = {"*": "star", "^": "caret", "(": "lparen", ")": "rparen", ",": "comma"}
+# One alternative per token kind, after any whitespace (every str.isspace()
+# character); an empty match leaves no group set: the end of input, or a
+# character that starts no token.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    rf"|(?P<opsym>[{re.escape(''.join(OPSYM_ROTORS))}])"
+    r"|(?P<star>\*)|(?P<caret>\^)|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
+    r"|(?P<word>[A-Za-z]+))?"
+)
+_WORD_KINDS = {"rot": "rotkw", **dict.fromkeys(CONST_ROTORS, "ident")}
 
 
 def tokenize(text: str) -> list[Token]:
     """Split text into tokens; spans are offsets into the input."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if (m := _NUMBER.match(text, pos)) is not None:
-            tokens.append(Token("number", m.group(), (pos, m.end())))
-            pos = m.end()
-            continue
-        if ch in OPSYM_ROTORS:
-            tokens.append(Token("opsym", ch, (pos, pos + 1)))
-            pos += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, (pos, pos + 1)))
-            pos += 1
-            continue
-        m = _WORD.match(text, pos)
-        if m is not None:
-            word = m.group()
-            if word == "rot":
-                tokens.append(Token("rotkw", word, (pos, m.end())))
-            elif word in CONST_ROTORS:
-                tokens.append(Token("ident", word, (pos, m.end())))
-            else:
-                raise LexError(f"unknown name {word!r}", (pos, m.end()))
-            pos = m.end()
-            continue
-        raise LexError(f"unrecognized character {ch!r}", (pos, pos + 1))
+    tokens, pos = [], 0
+    while kind := (m := _TOKEN.match(text, pos)).lastgroup:
+        lexeme, span = m[kind], m.span(kind)
+        if kind == "word":
+            kind = _WORD_KINDS.get(lexeme)
+            if kind is None:
+                raise LexError(f"unknown name {lexeme!r}", span)
+        tokens.append(Token(kind, lexeme, span))
+        pos = m.end()
+    if (pos := m.end()) < len(text):
+        raise LexError(f"unrecognized character {text[pos]!r}", (pos, pos + 1))
     return tokens
 
 
@@ -115,64 +102,52 @@ _MAX_NESTING = 100  # node levels; == and repr hit the recursion limit from ~170
 
 
 class _Parser:
-    """Recursive-descent parser over the token list."""
+    """Recursive-descent parser over the token list and a closing end token."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) + [Token("end", "end of input", (len(text), len(text)))]
         self.pos = 0
         self.heights = {}  # levels of each node built, by id; all live until the end
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def next(self) -> Token | None:
+    def next(self) -> Token:
         tok = self.peek()
-        if tok is not None:
+        if tok.kind != "end":
             self.pos += 1
         return tok
 
-    def span(self) -> tuple[int, int]:
-        tok = self.peek()
-        return tok.span if tok else (len(self.text), len(self.text))
-
     def fail(self, expected: set[str]):
         tok = self.peek()
-        found = tok.lexeme if tok else "end of input"
         raise ParseError(
-            f"expected {', '.join(sorted(expected))}, found {found!r}",
-            self.span(), frozenset(expected),
+            f"expected {', '.join(sorted(expected))}, found {tok.lexeme!r}",
+            tok.span, frozenset(expected),
         )
 
     def nest(self, node: Expr, children) -> Expr:
         """node, one level above its highest child (an atom has level 0)."""
         height = self.heights[id(node)] = 1 + max(self.heights.get(id(c), 0) for c in children)
         if height > _MAX_NESTING:
-            raise ParseError("expression nests too deeply", self.span())
+            raise ParseError("expression nests too deeply", self.peek().span)
         return node
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
+        if self.peek().kind != kind:
             self.fail({kind})
         return self.next()
 
     def parse(self) -> Expr:
         e = self.expr()
-        if self.peek() is not None:
+        if self.peek().kind != "end":
             self.fail({"opsym", "*", "^", "end of input"})
         return e
 
     def expr(self) -> Expr:
-        items = []
-        leading = None
-        tok = self.peek()
-        if tok is not None and tok.kind == "opsym":
-            leading = self.next().lexeme
-        items.append((leading or "+", self.term()))
-        while (tok := self.peek()) is not None and tok.kind == "opsym":
-            op = self.next().lexeme
-            items.append((op, self.term()))
+        lead = self.next().lexeme if self.peek().kind == "opsym" else "+"
+        items = [(lead, self.term())]
+        while self.peek().kind == "opsym":
+            items.append((self.next().lexeme, self.term()))
         # a lone term under a "+" (implicit or written) is just the term
         if len(items) == 1 and items[0][0] == "+":
             return items[0][1]
@@ -180,22 +155,20 @@ class _Parser:
 
     def term(self) -> Expr:
         factors = [self.factor()]
-        while (tok := self.peek()) is not None and tok.kind == "star":
+        while self.peek().kind == "star":
             self.next()
             factors.append(self.factor())
         return self.nest(Mul(tuple(factors)), factors) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Expr:
         e = self.atom()
-        if (tok := self.peek()) is not None and tok.kind == "caret":
+        if self.peek().kind == "caret":
             self.next()
             e = self.nest(Pow(e, self.signed_int()), [e])
         return e
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok is None:
-            self.fail({"number", "I", "J", "i", "rot", "("})
         if tok.kind == "number":
             self.next()
             return Number(float(tok.lexeme))
@@ -220,11 +193,11 @@ class _Parser:
     def signed_int(self) -> int:
         sign = 1
         tok = self.peek()
-        if tok is not None and tok.kind == "opsym" and tok.lexeme in "+-":
+        if tok.kind == "opsym" and tok.lexeme in "+-":
             sign = -1 if tok.lexeme == "-" else 1
             self.next()
             tok = self.peek()
-        if tok is None or tok.kind != "number" or not tok.lexeme.isdigit():
+        if tok.kind != "number" or not tok.lexeme.isdigit():
             self.fail({"integer"})
         self.next()
         try:
@@ -241,7 +214,7 @@ def parse(text: str) -> Expr:
     try:
         return parser.parse()
     except RecursionError:
-        raise ParseError("expression nests too deeply", parser.span()) from None
+        raise ParseError("expression nests too deeply", parser.peek().span) from None
 
 
 def evaluate(e: Expr) -> complex:

@@ -123,22 +123,17 @@ def characteristic_ratio(rec: Recurrence, iters: int) -> float:
     The last five ratio estimates must agree to 1e-6 (Cauchy-style check);
     otherwise the limit is not considered established.
     """
-    from fractions import Fraction
-
     n = rec.order
     if iters < n + 2:
         raise ValueError(f"iters must be at least order+2 = {n + 2}")
-    seq = iterate(rec, iters + 1)
+    first = max(iters - 5, 0)
+    seq = list(islice(exact_terms(rec), first, iters + 1))
 
-    probes = range(max(iters - 5, 0), iters)
     ratios = []
-    for k in probes:
-        if seq[k] == 0:
+    for k, (x, after) in enumerate(zip(seq, seq[1:]), first):
+        if x == 0:
             raise ZeroDivisionInRatio(f"term x_{k} is zero at a probe index")
-        if rec.integral:
-            ratios.append(float(Fraction(seq[k + 1], seq[k])))
-        else:
-            ratios.append(seq[k + 1] / seq[k])
+        ratios.append(after / x)  # exact integers: one rounding of the exact ratio
     for prev, cur in zip(ratios, ratios[1:]):
         if abs(cur - prev) > 1e-6:
             raise NonConvergent(

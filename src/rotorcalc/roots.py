@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .record import Record
-from .recurrence import CharPoly, _is_integral, as_float
+from .recurrence import CharPoly, as_float
 from .unity import rotor_pow, rotor_value, signature_rows
 
 # Argument tuples each memo remembers.  The closed forms of one recurrence
@@ -195,29 +195,35 @@ def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
     return root_analysis((c0, c1, c2)).rootset
 
 
-def _exact_discriminant(coeffs) -> int:
-    """The divisor's square in integers: sigma1^2 = c1^2 + 4 c0 at degree 2,
-    D^2 = A^2 - 4 B^3 at degree 3 (A, B as in `cubic_resolvents`)."""
-    c = [int(x) for x in coeffs]
-    if len(c) == 2:
-        return c[1] * c[1] + 4 * c[0]
-    a = 2 * c[2] ** 3 + 9 * c[1] * c[2] + 27 * c[0]
-    b = c[2] * c[2] + 3 * c[1]
+def _exact_discriminant(coeffs) -> int | None:
+    """The divisor's square in integers, over the exact coefficient values c_j = n_j / d:
+    (c1^2 + 4 c0) d^2 at degree 2, (A^2 - 4 B^3) d^6 at degree 3 (A, B as in
+    `cubic_resolvents`); None when a coefficient has no exact ratio."""
+    try:
+        ratios = [c.as_integer_ratio() for c in coeffs]
+    except AttributeError:  # the solvers refuse inf and nan before this
+        return None
+    d = math.lcm(*(q for _, q in ratios))
+    n = [p * (d // q) for p, q in ratios]
+    if len(n) == 2:
+        return n[1] * n[1] + 4 * n[0] * d
+    a = 2 * n[2] ** 3 + 9 * n[1] * n[2] * d + 27 * n[0] * d * d
+    b = n[2] * n[2] + 3 * n[1] * d
     return a * a - 4 * b ** 3
 
 
 @_memo
 def root_analysis(coeffs: tuple) -> RootAnalysis:
     """The roots of x^n = c_{n-1} x^(n-1) + ... + c_0: closed2 or closed3 at
-    degrees 2 and 3, `numeric_roots` at any other.  Integral coefficients with
-    a zero exact discriminant get a divisor of exactly 0 (rounding may not)."""
+    degrees 2 and 3, `numeric_roots` at any other.  A zero discriminant of the exact
+    value of every coefficient gives a divisor of exactly 0 (rounding may not)."""
     n = len(coeffs)
     if n not in (2, 3):
         rootset = numeric_roots(CharPoly(n, coeffs))
         return RootAnalysis(rootset, rootset.roots, (), None)
     labelled, sigmas = (_quadratic_labelled if n == 2 else _cubic_labelled)(*coeffs)
     divisor = sigmas[0] if n == 2 else sigmas[0] ** 3 - sigmas[1] ** 3
-    if all(map(_is_integral, coeffs)) and _exact_discriminant(coeffs) == 0:
+    if _exact_discriminant(coeffs) == 0:
         divisor = 0j
     rootset = _root_set(labelled, CharPoly(n, coeffs), f"closed{n}")
     return RootAnalysis(rootset, labelled, sigmas, divisor)

@@ -39,7 +39,7 @@ FIXED_RECURRENCES = [
     ((0, 0, 0), (1, 2, 3)), ((8, -12, 6), (1, 2, 3)), ((3, 2), (2, -2)), ((-1, 0), (1, 0)),
     ((-2, 1), (1, 1)), ((1, 0), (0, 1)), ((0.5, -1), (2, 1e200)), ((1e6, 1, 0), (0, 0, 1)),
     ((2,), (3,)), ((1, 0, 0, 0, 1), (1, 2, 3, 4, 5)), ((1, 1), (0, 10 ** 400)), ((1,), ()),
-    ((), ()), ((-1, 1, 1), (0, 0, 0.5)),
+    ((), ()), ((-1, 1, 1), (0, 0, 0.5)), ((-0.25, 0.75, 0), (0, 0, 1)),
 ]
 KS = (0, 1, 2, 5, 10, 30, 100, 1000)
 TABLES = ("R3", "C3", "R4", "C4", "union3", "union8", "R5")

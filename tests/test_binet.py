@@ -685,6 +685,7 @@ DOUBLE_ROOT_CUBICS = {
     "(x-1)^2(x+1)": (-1, 1, 1),
     "(x-2)^2(x+1)": (-4, 0, 3),
     "x(x-1)^2": (0, -1, 2),
+    "(x-0.5)^2(x+1)": (-0.25, 0.75, 0),
 }
 
 
@@ -728,7 +729,7 @@ class TestExactRepeatedRoots:
             component(rec, "F", 30)
 
     def test_near_double_root_still_answers(self):
-        # x^3 = x^2 + x - 0.999...: distinct roots, not integral, so not refused
+        # x^3 = x^2 + x - 0.999...: distinct roots, so not refused
         rec = Recurrence((-0.999, 1, 1), (0, 1, 2))
         want = iterate(rec, 11)[10]
         assert abs(binet3(rec, 10) - want) <= 1e-6 * max(1, abs(want))

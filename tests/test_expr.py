@@ -26,10 +26,12 @@ from rotorcalc.unity import rotor_value
 
 class TestTokenize:
     def test_kinds_and_spans(self):
-        toks = tokenize("2 / 3")
-        assert [t.kind for t in toks] == ["number", "opsym", "number"]
-        assert [t.span for t in toks] == [(0, 1), (2, 3), (4, 5)]
-        assert [t.lexeme for t in toks] == ["2", "/", "3"]
+        # every str.isspace() character is whitespace, "\x1c" (file separator) too
+        for text in ("2 / 3", "2 /\x1c3"):
+            toks = tokenize(text)
+            assert [t.kind for t in toks] == ["number", "opsym", "number"], text
+            assert [t.span for t in toks] == [(0, 1), (2, 3), (4, 5)], text
+            assert [t.lexeme for t in toks] == ["2", "/", "3"], text
 
     def test_spans_slice_back_to_lexemes(self):
         for text in ("rot(1,3)*I^2", "1 _ 1 ~ 1 = 1", "2.5e-3 \\ 41*J", "(0 - 7)^3"):
@@ -52,9 +54,10 @@ class TestTokenize:
             assert tok.lexeme == op
 
     def test_unknown_character(self):
-        with pytest.raises(LexError) as err:
-            tokenize("2 ? 3")
-        assert err.value.span == (2, 3)
+        for text in ("2 ? 3", "  ?"):
+            with pytest.raises(LexError) as err:
+                tokenize(text)
+            assert err.value.span == (2, 3), text
 
     def test_unknown_name(self):
         with pytest.raises(LexError) as err:
@@ -72,7 +75,8 @@ class TestTokenize:
         assert str(err.value) == "unrecognized character '²' at 0..1"
 
     def test_decimal_digits_of_other_scripts_are_numbers(self):
-        assert [t.kind for t in tokenize("٣+1")] == ["number", "opsym", "number"]
+        for text in ("٣+1", "٣ + 1"):
+            assert [t.kind for t in tokenize(text)] == ["number", "opsym", "number"], text
         assert evaluate(parse("٣ + 1")) == 4
 
 
@@ -176,6 +180,8 @@ class TestParse:
         cases = {
             "rot(1 3)": ("expected comma, found '3' at 6..7", {"comma"}),
             "(1": ("expected rparen, found 'end of input' at 2..2", {"rparen"}),
+            # the end of input sits at the text's length, past trailing whitespace
+            "(1  ": ("expected rparen, found 'end of input' at 4..4", {"rparen"}),
             "2 *": ("at 3..3", {"(", "I", "J", "i", "number", "rot"}),
         }
         for text, (tail, expected) in cases.items():

@@ -109,8 +109,6 @@ def _root_list(rs) -> list:
 
 def cmd_roots(args) -> int:
     coeffs = _parse_numbers(args.coeffs, "--coeffs")
-    if not coeffs:
-        raise _UsageError("--coeffs needs at least one entry")
     n = len(coeffs)
     method = args.method or ("closed" if n in (2, 3) else "numeric")
     if method == "closed":
@@ -150,6 +148,8 @@ def cmd_term(args) -> int:
     rec = _recurrence(args)
     if args.k < 0:
         raise _UsageError("-k must be nonnegative")
+    if args.k >= sys.maxsize and rec.integral:  # iterate's islice takes at most that many
+        raise _UsageError(f"-k must be below {sys.maxsize} for an integral recurrence")
     term = closed_term(solve_weights(rec), args.k)
     payload = {"k": args.k, "closed": _cplx(term.value)}
     if term.nearest is not None:
@@ -165,6 +165,8 @@ def cmd_seq(args) -> int:
     rec = _recurrence(args)
     if args.count < 0:
         raise _UsageError("--count must be nonnegative")
+    if args.count > sys.maxsize:  # iterate's islice takes at most that many
+        raise _UsageError(f"--count must be at most {sys.maxsize}")
     values = iterate(rec, args.count)
     if args.format == "csv":
         try:

@@ -134,15 +134,30 @@ def _from_resolvents(c_top, sigmas) -> tuple:
     return tuple(reduce(add, map(mul, inverse, sigmas), c_top) / n for inverse in _INVERSE_ROWS[n])
 
 
+def _discriminant(coeffs) -> tuple:
+    """(A, B, disc) of the exact coefficient values c_j = n_j / d, computed in
+    integers and each rounded once: (None, None, c1^2 + 4 c0) at degree 2, and
+    A = 2 c2^3 + 9 c1 c2 + 27 c0, B = c2^2 + 3 c1, disc = A^2 - 4 B^3 at degree 3.
+    A value or coefficient beyond float range, an inf or a nan raises TermOverflow."""
+    try:
+        for c in coeffs:  # the roots sum each c_j as a float, so it must fit one
+            float(c)
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        d = math.lcm(*(q for _, q in ratios))
+        n = [p * (d // q) for p, q in ratios]
+        if len(n) == 2:
+            return None, None, (n[1] * n[1] + 4 * n[0] * d) / (d * d)
+        a = 2 * n[2] ** 3 + 9 * n[1] * n[2] * d + 27 * n[0] * d * d
+        b = n[2] * n[2] + 3 * n[1] * d
+        return a / d ** 3, b / (d * d), (a * a - 4 * b ** 3) / d ** 6
+    except (OverflowError, ValueError):
+        what = "quadratic discriminant" if len(coeffs) == 2 else "cubic resolvent discriminant"
+        raise TermOverflow(f"the {what} is beyond float range") from None
+
+
 def _quadratic_labelled(c0: float, c1: float):
     """Roots in the labelling tied to sigma1, plus (sigma1,)."""
-    try:
-        disc = c1 * c1 + 4.0 * c0
-    except OverflowError:  # an integer coefficient too large for a float
-        disc = math.inf
-    if not math.isfinite(disc):
-        raise TermOverflow("the quadratic discriminant is beyond float range")
-    sigma1 = cmath.sqrt(complex(disc))
+    sigma1 = cmath.sqrt(_discriminant((c0, c1))[2])
     return _from_resolvents(c1, (sigma1,)), (sigma1,)
 
 
@@ -165,16 +180,10 @@ def cubic_resolvents(c0: float, c1: float, c2: float) -> ResolventSet:
     sigma1 * sigma2 = B by construction.  When |y1| < |y2| that sum cancels
     (|A| >> |B|^(3/2)); y1 = B^3 / y2 (Vieta) instead, built as |B| / |y2|^(1/3).
     sigma1 = 0 forces B = 0; sigma2 is then the principal cube root of y2.
+    A, B and disc are computed once from the exact coefficients, each rounded once.
     """
-    try:
-        A = 2.0 * c2 ** 3 + 9.0 * c1 * c2 + 27.0 * c0
-        B = c2 * c2 + 3.0 * c1
-        disc = A * A - 4.0 * B ** 3
-    except OverflowError:  # float ** and int-to-float conversion raise; * gives inf
-        disc = math.inf
-    if not math.isfinite(disc):
-        raise TermOverflow("the cubic resolvent discriminant is beyond float range")
-    sq = cmath.sqrt(complex(disc))
+    A, B, disc = _discriminant((c0, c1, c2))
+    sq = cmath.sqrt(disc)
     y1, y2 = (A + sq) / 2.0, (A - sq) / 2.0
     if abs(y1) < abs(y2):  # disc > 0, so y1 is real: arg pi/3 when negative
         arg = math.pi / 3 if (B < 0) != (y2.real < 0) else 0.0
@@ -195,35 +204,18 @@ def cubic_roots(c0: float, c1: float, c2: float) -> RootSet:
     return root_analysis((c0, c1, c2)).rootset
 
 
-def _exact_discriminant(coeffs) -> int | None:
-    """The divisor's square in integers, over the exact coefficient values c_j = n_j / d:
-    (c1^2 + 4 c0) d^2 at degree 2, (A^2 - 4 B^3) d^6 at degree 3 (A, B as in
-    `cubic_resolvents`); None when a coefficient has no exact ratio."""
-    try:
-        ratios = [c.as_integer_ratio() for c in coeffs]
-    except AttributeError:  # the solvers refuse inf and nan before this
-        return None
-    d = math.lcm(*(q for _, q in ratios))
-    n = [p * (d // q) for p, q in ratios]
-    if len(n) == 2:
-        return n[1] * n[1] + 4 * n[0] * d
-    a = 2 * n[2] ** 3 + 9 * n[1] * n[2] * d + 27 * n[0] * d * d
-    b = n[2] * n[2] + 3 * n[1] * d
-    return a * a - 4 * b ** 3
-
-
 @_memo
 def root_analysis(coeffs: tuple) -> RootAnalysis:
     """The roots of x^n = c_{n-1} x^(n-1) + ... + c_0: closed2 or closed3 at
-    degrees 2 and 3, `numeric_roots` at any other.  A zero discriminant of the exact
-    value of every coefficient gives a divisor of exactly 0 (rounding may not)."""
+    degrees 2 and 3, `numeric_roots` at any other.  A zero `_discriminant` gives a
+    divisor of exactly 0: sigma1 = sqrt(0.0), and D is set so (rounding may not)."""
     n = len(coeffs)
     if n not in (2, 3):
         rootset = numeric_roots(CharPoly(n, coeffs))
         return RootAnalysis(rootset, rootset.roots, (), None)
     labelled, sigmas = (_quadratic_labelled if n == 2 else _cubic_labelled)(*coeffs)
     divisor = sigmas[0] if n == 2 else sigmas[0] ** 3 - sigmas[1] ** 3
-    if _exact_discriminant(coeffs) == 0:
+    if n == 3 and _discriminant(coeffs)[2] == 0:
         divisor = 0j
     rootset = _root_set(labelled, CharPoly(n, coeffs), f"closed{n}")
     return RootAnalysis(rootset, labelled, sigmas, divisor)

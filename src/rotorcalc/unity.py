@@ -65,7 +65,10 @@ def rotor_value(r: Rotor) -> complex:
         return -1 + 0j
     if r.den == 4:
         return 1j if r.num == 1 else -1j
-    angle = math.tau * r.num / r.den
+    try:
+        angle = math.tau * r.num / r.den
+    except OverflowError:  # den past float range: num/den, in [0, 1), rounded once
+        angle = math.tau * (r.num / r.den)
     return complex(math.cos(angle), math.sin(angle))
 
 

@@ -137,6 +137,12 @@ class TestRoots:
         assert out == ""
         assert "usage error" in err
 
+    def test_empty_coefficients(self, capsys):
+        code, out, err = run(capsys, "roots", "--coeffs=")
+        assert code == 2
+        assert out == ""
+        assert "--coeffs entry '' is not a number" in err
+
 
 class TestSolve:
     def test_fibonacci(self, capsys):
@@ -183,6 +189,19 @@ class TestTerm:
         assert code == 2
         assert "usage error" in err
 
+    def test_k_past_maxsize_is_a_usage_error_when_integral(self, capsys):
+        # the exact term would be iterated to, and islice takes no larger count
+        code, out, err = run(capsys, "term", "--coeffs=-1,0", "--seeds=1,0", "-k", "100000000000000000000")
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: -k must be below {sys.maxsize} for an integral recurrence\n"
+
+    def test_k_past_maxsize_answers_when_not_integral(self, capsys):
+        code, payload, _ = run_json(capsys, "term", "--coeffs=0.5,0", "--seeds=1,0", "-k", "100000000000000000000")
+        assert code == 0
+        assert payload["k"] == 10 ** 20
+        assert "exact" not in payload
+
 
 class TestSeq:
     def test_tri_lucas_csv(self, capsys):
@@ -205,6 +224,20 @@ class TestSeq:
         terms = payload["terms"]
         assert terms[-1] == {"k": 10, "value": 55}
         assert all(isinstance(t["value"], int) for t in terms)
+
+    def test_negative_count(self, capsys):
+        code, out, err = run(capsys, "seq", "--coeffs", "1,1", "--seeds", "0,1", "--count=-1")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --count must be nonnegative\n"
+
+    def test_count_past_maxsize(self, capsys):
+        code, out, err = run(
+            capsys, "seq", "--coeffs", "1,1", "--seeds", "0,1", "--count", str(sys.maxsize + 1)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: --count must be at most {sys.maxsize}\n"
 
     def test_zero_count(self, capsys):
         code, payload, _ = run_json(
@@ -249,6 +282,12 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "DegenerateRoots" in err
+
+    def test_negative_kmax(self, capsys):
+        code, out, err = run(capsys, "verify", "--coeffs", "1,1", "--seeds", "0,1", "--kmax=-1")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --kmax must be nonnegative\n"
 
     def test_impossible_tolerance_fails(self, capsys):
         code, payload, _ = run_json(
@@ -433,6 +472,12 @@ class TestStrictJson:
             assert code == 1
             assert out == ""
             assert "EvaluationError" in err
+
+    def test_eval_rotor_denominator_past_float_range(self, capsys):
+        code, out, _ = run(capsys, "eval", "rot(1,1" + "0" * 400 + ")")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["re"] == 1.0 and payload["im"] == 0.0
 
     def test_term_beyond_float_range(self, capsys):
         code, out, err = run(capsys, "term", "--coeffs", "1,1", "--seeds", "0,1", "-k", "2000")

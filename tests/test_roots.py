@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -119,6 +120,45 @@ class TestCubicResolvents:
         # c2 ** 3 leaves float range as a float power
         with pytest.raises(TermOverflow):
             cubic_resolvents(1, 1, 1e120)
+
+
+QUADRATIC_OVERFLOW = "the quadratic discriminant is beyond float range"
+CUBIC_OVERFLOW = "the cubic resolvent discriminant is beyond float range"
+
+
+class TestDiscriminant:
+    def test_each_value_is_the_exact_one_rounded_once(self):
+        # |c_j| log-uniform in [1e-6, 1e9] with random signs: inputs on which the
+        # formulas, evaluated in floats, round at almost every operation
+        rng = random.Random(2002)
+
+        def draw():
+            return rng.choice((-1, 1)) * 10 ** rng.uniform(-6, 9)
+        for _ in range(1000):
+            c0, c1 = draw(), draw()
+            f0, f1 = Fraction(c0), Fraction(c1)
+            assert quadratic_roots(c0, c1)[1] == cmath.sqrt(float(f1 * f1 + 4 * f0)), (c0, c1)
+            c0, c1, c2 = draw(), draw(), draw()
+            f0, f1, f2 = Fraction(c0), Fraction(c1), Fraction(c2)
+            res = cubic_resolvents(c0, c1, c2)
+            assert res.A == float(2 * f2 ** 3 + 9 * f1 * f2 + 27 * f0), (c0, c1, c2)
+            assert res.B == float(f2 * f2 + 3 * f1), (c0, c1, c2)
+
+    @pytest.mark.parametrize("solve, coeffs, message", [
+        (quadratic_roots, (math.inf, 1), QUADRATIC_OVERFLOW),
+        (quadratic_roots, (math.nan, 1), QUADRATIC_OVERFLOW),
+        (cubic_resolvents, (math.inf, 1, 1), CUBIC_OVERFLOW),
+        (cubic_resolvents, (1, math.nan, 1), CUBIC_OVERFLOW),
+        # a coefficient past float range whose discriminant cancels to 0:
+        # (x - 10^200)^2 and (x - 10^140)^3
+        (quadratic_roots, (-10 ** 400, 2 * 10 ** 200), QUADRATIC_OVERFLOW),
+        (cubic_roots, (10 ** 420, -3 * 10 ** 280, 3 * 10 ** 140), CUBIC_OVERFLOW),
+    ], ids=["quadratic_inf", "quadratic_nan", "cubic_inf", "cubic_nan",
+            "quadratic_huge_c0", "cubic_huge_c0"])
+    def test_non_finite_or_huge_coefficient(self, solve, coeffs, message):
+        with pytest.raises(TermOverflow) as err:
+            solve(*coeffs)
+        assert str(err.value) == message
 
 
 def assert_cubic_answers(c0, c1, c2):

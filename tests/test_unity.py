@@ -87,6 +87,12 @@ class TestRotor:
         for r in small_rotors(12):
             assert abs(abs(rotor_value(r)) - 1.0) < 1e-15
 
+    def test_value_of_a_denominator_past_float_range(self):
+        # num / den, in [0, 1), is rounded once instead of converting den to a float
+        assert rotor_value(Rotor(1, 10 ** 400)) == 1 + 0j
+        third = rotor_value(Rotor(10 ** 400 // 3, 10 ** 400))
+        assert abs(third - rotor_value(Rotor(1, 3))) < 1e-15
+
 
 class TestRotorArithmetic:
     def test_mul_matches_complex(self):

@@ -7,13 +7,13 @@ each distinct root's row of powers.  `_powers`
 (r ** k, infinite past float range) and `_finite` (TermOverflow on a
 non-finite term) hold the overflow rule both share.  The routes differ only
 in where the weights W come from:
-- `solve_weights`: a `BinetForm`, solved from the first n+1 iterated terms,
-  plus a constant weight (any order);
+- `solve_weights`: a `BinetForm`, the Vandermonde weights (`_vandermonde`) of
+  the first n+1 iterated terms on the nodes (r_1, ..., r_n, 1), any order;
 - `binet2`, `binet3`, `m_form`: one `MForm`, the paper's rotor-chain expansion
   sum_j M_j chain_j(k) folded over the chain rows sig_j as
   W_m = sum_j M_j value(sig_j[m]); M is the paper's seed coefficients, closed
-  in the seeds, coefficients and resolvents (`_seed_form`), except that
-  m_form solves it from the seeds at orders 3 and 4;
+  in the seeds, coefficients and resolvents (`_seed_form`), except that at
+  orders 3 and 4 m_form takes M from the Vandermonde weights W of the seeds;
 - `component`: one chain row, W_m = value(sig_j[m]), the signed rows divided
   by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
 
@@ -40,7 +40,7 @@ from operator import add, attrgetter, mul, sub, truediv
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
 from .record import Record
 from .recurrence import Recurrence, as_float, exact_terms, iterate
-from .roots import CHAIN_ROWS, _memo, root_analysis
+from .roots import CHAIN_ROWS, _from_resolvents, _memo, root_analysis
 # Not called here: the benchmark's tracer patches these names on this module.
 from .roots import _cubic_labelled, cubic_roots, numeric_roots, quadratic_roots  # noqa: F401
 from .unity import rotor_value
@@ -112,11 +112,6 @@ def _power_sums(weights, roots, table: PowerTable):
     return map(_finite, sums, table.ks)
 
 
-def _fold(coefficients, values) -> tuple:
-    """One weight per root, W_m = sum_j M_j * values[j][m]."""
-    return tuple(sum(map(mul, coefficients, col)) for col in zip(*values))
-
-
 class TermValue(Record):
     __slots__ = _fields = ("value", "nearest", "distance")
 
@@ -155,7 +150,8 @@ class MForm(Record):
         if not len(coefficients) == len(roots) == order:
             raise ArityMismatch(f"order {order} needs {order} coefficients and roots")
         super().__init__(order, coefficients, CHAIN_ROWS[order], roots)
-        object.__setattr__(self, "root_weights", _fold(coefficients, _M_VALUES[order]))
+        weights = tuple(sum(map(mul, coefficients, col)) for col in zip(*_M_VALUES[order]))
+        object.__setattr__(self, "root_weights", weights)
 
     def evaluate(self, k: int) -> float:
         return _power_sum(self.root_weights, self.roots, k).real
@@ -172,35 +168,35 @@ _M_VALUES = {
 }
 
 
+# The inverse of _M_VALUES[4] transposed, exactly: Gaussian integers over 4
+_INVERSE_4 = tuple(tuple(v / 4 for v in row) for row in (
+    (1, 1, 1, 1), (1, -1 - 2j, -1 + 2j, 1), (1, 1, -1 - 2j, -1 + 2j), (1, -1 + 2j, 1, -1 - 2j)))
+
+
 def _guard_distinct(separation: float, rec: Recurrence):
     if rec.order >= 2 and separation <= 1e-7 * (1.0 + max(abs(c) for c in rec.coeffs)):
         raise DegenerateRoots(f"characteristic roots separated by only {separation:.3g}")
 
 
-def _solve(matrix, rhs) -> list:
-    """Solve matrix @ x = rhs by Gaussian elimination with partial pivoting.
-
-    The systems here are at most 5x5.  Pivots are chosen by |re| + |im|, as
-    LAPACK's getrf does, and an exactly zero pivot raises SingularSystem,
-    the condition under which getrf reports a singular matrix.
-    """
-    n = len(rhs)
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].real) + abs(a[r][col].imag))
-        if a[piv][col] == 0:
-            raise SingularSystem(f"singular matrix: zero pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        top = a[col]
-        for row in a[col + 1:]:
-            f = row[col] / top[col]
-            for c in range(col + 1, n + 1):
-                row[c] -= f * top[c]
-    x = [0j] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
-    return x
+def _vandermonde(nodes, values) -> tuple:
+    """The weights w with sum_j w_j * nodes[j]^i = values[i] for i < len(nodes),
+    in the order of nodes: Bjorck and Pereyra's O(n^2) solve (Golub and Van
+    Loan, Matrix Computations, Algorithm 4.6.2) over the nodes taken in
+    ascending modulus.  Two equal nodes raise SingularSystem."""
+    order = sorted(range(len(nodes)), key=lambda j: abs(nodes[j]))
+    x, b = [nodes[j] for j in order], [complex(v) for v in values]
+    n = len(x) - 1
+    for k in range(n):
+        for i in range(n, k, -1):
+            b[i] -= x[k] * b[i - 1]
+    for k in reversed(range(n)):
+        for i in range(k + 1, n + 1):
+            if x[i] == x[i - k - 1]:
+                raise SingularSystem("singular Vandermonde system: two nodes are equal")
+            b[i] /= x[i] - x[i - k - 1]
+        for i in range(k, n):
+            b[i] -= b[i + 1]
+    return tuple(w for _, w in sorted(zip(order, b)))  # back in the caller's order
 
 
 @_memo
@@ -208,17 +204,14 @@ def solve_weights(rec: Recurrence) -> BinetForm:
     """Solve x_k = sum(w_j r_j^k) + w_const from the first n+1 terms.
 
     Repeated roots are rejected first; a root at 1 is rejected next because
-    it makes the constant column a copy of a root-power column.
+    it equals the constant weight's node 1.
     """
     rs = root_analysis(rec.coeffs).rootset
     _guard_distinct(rs.min_separation, rec)
     if any(abs(r - 1.0) <= 1e-9 for r in rs.roots):
         raise SingularSystem("a characteristic root at 1 collides with the constant column")
-    n = rec.order
-    xs = iterate(rec, n + 1)
-    matrix = [[r ** i for r in rs.roots] + [1 + 0j] for i in range(n + 1)]
-    sol = _solve(matrix, [complex(as_float(x)) for x in xs])
-    return BinetForm(rs, tuple(sol), rec)
+    xs = iterate(rec, rec.order + 1)
+    return BinetForm(rs, _vandermonde(rs.roots + (1,), map(as_float, xs)), rec)
 
 
 def closed_term(form: BinetForm, k: int) -> TermValue:
@@ -290,8 +283,8 @@ def m_form(rec: Recurrence) -> MForm:
     """Rotor-expansion coefficients for orders 2-4.
 
     Order 2 has closed coefficients M1 = x0/2, M2 = (2 x1 - c1 x0)/(2 sigma1);
-    orders 3 and 4 solve the basis system chain_j(k) for k = 0..n-1 against
-    the seeds.  Distinct roots required throughout.
+    at orders 3 and 4, M maps through the chain rows onto the Vandermonde
+    weights W of the seeds on the labelled roots.  Distinct roots required.
     """
     n = rec.order
     if n not in (2, 3, 4):
@@ -302,9 +295,10 @@ def m_form(rec: Recurrence) -> MForm:
         _guard_distinct(a.rootset.min_separation, rec)
         return form
     _guard_distinct(a.rootset.min_separation, rec)
-    matrix = [[_power_sum(row, a.labelled, k) for row in _M_VALUES[n]] for k in range(n)]
-    coeffs = tuple(_solve(matrix, [complex(as_float(x)) for x in rec.seeds]))
-    return MForm(n, coeffs, tuple(a.labelled))
+    w = _vandermonde(a.labelled, map(as_float, rec.seeds))
+    if n == 3:  # _M_VALUES[3] is symmetric, so its inverse rows invert its transpose
+        return MForm(n, _from_resolvents(w[0], w[1:]), a.labelled)
+    return MForm(n, tuple(sum(map(mul, row, w)) for row in _INVERSE_4), a.labelled)
 
 
 # component kind -> (order, chain row of CHAIN_ROWS[order])

@@ -77,8 +77,8 @@ class DegenerateRoots(DomainError):
 
 
 class SingularSystem(DomainError):
-    """Weight system is singular: a characteristic root equals 1, or the
-    elimination meets a zero pivot."""
+    """Weight system is singular: a characteristic root equals 1, or two
+    nodes of the Vandermonde system are equal."""
 
 
 class TermOverflow(DomainError):

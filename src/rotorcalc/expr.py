@@ -25,7 +25,7 @@ from operator import mul
 
 from .errors import EvaluationError, LexError, ParseError
 from .record import Record
-from .unity import CONST_ROTORS, OPSYM_ROTORS, Rotor, rotor_value
+from .unity import CONST_ROTORS, OPSYM_ROTORS, Rotor, rotor_pow, rotor_value
 
 
 class Token(Record):
@@ -218,7 +218,8 @@ def parse(text: str) -> Expr:
 
 
 def evaluate(e: Expr) -> complex:
-    """Floating value of an expression tree."""
+    """Floating value of an expression tree; an I, J, i or rot(k,n) raised to
+    an integer power is the value of the exact rotor power."""
     if isinstance(e, Number):
         return complex(e.value)
     if isinstance(e, Const):
@@ -228,12 +229,15 @@ def evaluate(e: Expr) -> complex:
     if isinstance(e, Mul):
         return reduce(mul, map(evaluate, e.factors))  # left to right
     if isinstance(e, Pow):
-        base = evaluate(e.base)
+        if isinstance(b := e.base, (Const, Rot)):  # exact: the rotor's turn times the exponent
+            rotor = CONST_ROTORS[b.name] if isinstance(b, Const) else Rotor(b.num, b.den)
+            return rotor_value(rotor_pow(rotor, e.exponent))
+        base = evaluate(b)
         if base == 0 and e.exponent < 0:
             raise EvaluationError("zero base with negative exponent")
         try:
             return base ** e.exponent
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # the latter: a power that underflowed to 0
             raise EvaluationError("power beyond float range") from None
     if isinstance(e, Chain):
         total = 0j

@@ -3,6 +3,9 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
+from itertools import islice
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -10,11 +13,13 @@ import pytest
 import rotorcalc.binet
 import rotorcalc.roots
 from rotorcalc.binet import (
+    _INVERSE_4,
+    _M_VALUES,
     MForm,
     PowerTable,
     _power_sum,
     _seed_form,
-    _solve,
+    _vandermonde,
     binet2,
     binet3,
     closed_term,
@@ -95,33 +100,103 @@ class TestSolveWeights:
             solve_weights(Recurrence((-1, 2), (0, 1)))
 
 
-class TestLinearSolve:
-    def test_exactly_singular_complex_system(self):
-        # the second row is exactly twice the first, so elimination leaves a 0 pivot
-        with pytest.raises(SingularSystem):
-            _solve([[1 + 1j, 2j], [2 + 2j, 4j]], [1j, 2])
-        with pytest.raises(SingularSystem):
-            _solve([[0j, 1 + 1j], [0j, 2 - 1j]], [1, 1])
+def _gaussian(zs):
+    """Each complex z as a Gaussian integer (re, im) over one common power of two."""
+    ratios = [part.as_integer_ratio() for z in map(complex, zs) for part in (z.real, z.imag)]
+    scale = max(q for _, q in ratios)
+    ints = [p * (scale // q) for p, q in ratios]
+    return list(zip(ints[::2], ints[1::2])), scale
 
-    def test_zero_first_pivot_forces_row_swap(self):
-        matrix = [[0j, 1 + 1j, 2], [1j, 2, 0.5], [3, 1, 1j]]
-        want = [1 - 2j, 0.5j, 3]
-        rhs = [sum(a * x for a, x in zip(row, want)) for row in matrix]
-        got = _solve(matrix, rhs)
-        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
 
-    def test_random_systems_have_small_residuals(self):
-        rng = random.Random(77)
-        for n in range(1, 6):
-            for _ in range(40):
-                matrix = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-                          for _ in range(n)]
-                rhs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-                x = _solve(matrix, rhs)
-                residual = max(abs(sum(a * z for a, z in zip(row, x)) - b)
-                               for row, b in zip(matrix, rhs))
-                scale = max(abs(z) for z in x) * max(abs(a) for row in matrix for a in row)
-                assert residual <= 1e-12 * max(1.0, scale)
+def _times(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def exact_weights(nodes, values):
+    """The exact solution of sum_j w_j nodes[j]^i = values[i], the same float
+    system, by Lagrange: w_j = sum_i values[i] [t^i] prod_{k != j} (t - x_k)/(x_j - x_k).
+    With x_k = X_k / s and values[i] = B_i / f in Gaussian integers, that is
+    sum_i B_i p_i s^i / (f D_j) for p = prod (T - X_k) and D_j = prod (X_j - X_k).
+    Each weight is a (re, im) pair of Fractions."""
+    xs, s = _gaussian(nodes)
+    bs, f = _gaussian(values)
+    weights = []
+    for j, xj in enumerate(xs):
+        poly, denom = [(1, 0)], (1, 0)
+        for k, xk in enumerate(xs):
+            if k != j:
+                lower = [_times(xk, p) for p in poly] + [(0, 0)]
+                poly = [(h[0] - g[0], h[1] - g[1]) for h, g in zip([(0, 0)] + poly, lower)]
+                denom = _times(denom, (xj[0] - xk[0], xj[1] - xk[1]))
+        terms = [_times(b, (p[0] * s ** i, p[1] * s ** i))
+                 for i, (b, p) in enumerate(zip(bs, poly))]
+        num = _times((sum(t[0] for t in terms), sum(t[1] for t in terms)), (denom[0], -denom[1]))
+        d = f * (denom[0] ** 2 + denom[1] ** 2)
+        weights.append((Fraction(num[0], d), Fraction(num[1], d)))
+    return weights
+
+
+def relative_forward_error(weights, exact):
+    """max_j |w_j - exact_j| / max_j |exact_j|, or the absolute error when exact is 0."""
+    diff = max(math.hypot(Fraction(w.real) - e[0], Fraction(w.imag) - e[1])
+               for w, e in zip(weights, exact))
+    size = max(math.hypot(*e) for e in exact)
+    return diff / size if size else diff
+
+
+def random_log_uniform(rng, order):
+    """|c_j| and |x_j| log-uniform in [1e-2, 1e2], each with a random sign."""
+    def draw():
+        return rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 2)
+    return Recurrence(tuple(draw() for _ in range(order)), tuple(draw() for _ in range(order)))
+
+
+class TestVandermonde:
+    def test_equal_complex_nodes_are_singular(self):
+        with pytest.raises(SingularSystem, match="two nodes are equal"):
+            _vandermonde((0.5 - 2j, 3 + 1j, 0.5 - 2j), (1, 2, 3))
+
+    def test_a_node_equal_to_the_constant_node_is_singular(self):
+        # solve_weights refuses a root at 1 first; called directly, the solve itself refuses
+        with pytest.raises(SingularSystem):
+            _vandermonde((2 + 0j, 1 + 0j, 1), (0, 1, 2))
+
+    def test_solves_a_small_system(self):
+        # w_0 + w_1 = 3 and 2 w_0 - w_1 = 0
+        assert _vandermonde((2, -1), (3, 0)) == (1, 2)
+
+    def test_permuting_the_nodes_permutes_the_weights(self):
+        rng = random.Random(2201)
+        for n in range(1, 7):
+            for _ in range(20):
+                nodes = [complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(n)]
+                values = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+                weights = _vandermonde(nodes, values)
+                perm = rng.sample(range(n), n)
+                permuted = _vandermonde([nodes[p] for p in perm], values)
+                assert permuted == tuple(weights[p] for p in perm)
+
+    def test_weights_match_the_exact_solution_of_the_same_system(self):
+        # solve_weights' own system, node 1 last, against its exact solution.
+        # A wider spread, |c_j| log-uniform in [1e-6, 1e9], reaches condition
+        # numbers near 1e17 and forward errors near 1e-10 with any solver.
+        rng = random.Random(2202)
+        classes = (random_integral, random_quarter, random_log_uniform)
+        checked = 0
+        for _ in range(40):
+            for order in range(1, 7):
+                for make in classes:
+                    rec = make(rng, order)
+                    try:
+                        form = solve_weights(rec)
+                    except DomainError:
+                        continue
+                    nodes = form.roots.roots + (1,)
+                    values = [complex(x) for x in iterate(rec, order + 1)]
+                    err = relative_forward_error(form.weights, exact_weights(nodes, values))
+                    assert err <= 1e-12, (rec, err)
+                    checked += 1
+        assert checked >= 500
 
 
 class TestClosedTerm:
@@ -160,6 +235,16 @@ class TestClosedTerm:
                 got = form.evaluate(k)
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
             checked += 1
+
+    @pytest.mark.parametrize("rec, horizon", [
+        (FIB, 76), (Recurrence((1, 1, 1), (0, 0, 1)), 56), (TETRA, 54),
+    ], ids=["fibonacci", "tribonacci", "tetranacci"])
+    def test_nearest_is_exact_below_the_known_horizon(self, rec, horizon):
+        # the first k with a wrong nearest (ROADMAP item 2); a weight solve
+        # must not bring it closer
+        form = solve_weights(rec)
+        for k, exact in enumerate(islice(exact_terms(rec), horizon)):
+            assert closed_term(form, k).nearest == exact, k
 
     def test_snap_matches_exact_iterate(self):
         rng = random.Random(6021)
@@ -314,15 +399,41 @@ class TestMForm:
             "roots=((1.618033988749895+0j), (-0.6180339887498949+0j)))"
         )
         assert repr(m_form(TRIB)) == (
-            "MForm(order=3, coefficients=((-2.7628876743060948e-33-3.732881970141441e-17j), "
-            "(0.28261655416012327+1.3333326834748665e-16j), "
-            "(0.053611562834817904-9.424143792245034e-17j)), "
+            "MForm(order=3, coefficients=(0j, "
+            "(0.28261655416012327+9.25185853854297e-18j), "
+            "(0.05361156283481799-3.700743415417188e-17j)), "
             "signatures=((Rotor(num=0, den=1), Rotor(num=0, den=1), Rotor(num=0, den=1)), "
             "(Rotor(num=0, den=1), Rotor(num=1, den=3), Rotor(num=2, den=3)), "
             "(Rotor(num=0, den=1), Rotor(num=2, den=3), Rotor(num=1, den=3))), "
             "roots=((1.839286755214161+0j), (-0.4196433776070809-0.606290729207199j), "
             "(-0.4196433776070805+0.6062907292071993j)))"
         )
+
+    def test_order4_inverse_literal_is_exact(self):
+        rows = _M_VALUES[4]
+        product = [[sum(map(mul, inverse, row)) for row in rows] for inverse in _INVERSE_4]
+        assert product == [[int(i == j) for j in range(4)] for i in range(4)]
+
+    def test_order3_chain_values_are_symmetric(self):
+        # so the conjugate rows that invert them also invert their transpose
+        rows = _M_VALUES[3]
+        assert all(rows[i][j] == rows[j][i] for i in range(3) for j in range(3))
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_reproduces_the_seeds(self, order):
+        rng = random.Random(2203 + order)
+        checked = 0
+        for _ in range(60):
+            for make in (random_integral, random_quarter):
+                rec = make(rng, order)
+                try:
+                    mf = m_form(rec)
+                except DomainError:
+                    continue
+                for k, x in enumerate(rec.seeds):
+                    assert abs(mf.evaluate(k) - x) <= 1e-12 * max(1.0, abs(x)), (rec, k)
+                checked += 1
+        assert checked >= 100
 
     def test_equality_ignores_root_weights(self):
         mf = m_form(TRIB)

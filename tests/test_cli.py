@@ -40,6 +40,19 @@ class TestEval:
             assert abs(payload["re"]) <= 1e-14
             assert abs(payload["im"]) <= 1e-14
 
+    def test_rotor_power_is_exact(self, capsys):
+        # J^(10^20 - 1) is rot(7,8); a complex power of J's value lands 0.86 away
+        code, payload, _ = run_json(capsys, "eval", "J^99999999999999999999")
+        assert code == 0
+        assert abs(payload["re"] - math.sqrt(0.5)) <= 1e-15
+        assert abs(-payload["im"] - math.sqrt(0.5)) <= 1e-15
+
+    def test_negative_power_of_an_underflowing_base(self, capsys):
+        code, out, err = run(capsys, "eval", "1e-300^-2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: EvaluationError: power beyond float range\n"
+
     def test_arg_stays_in_half_open_range(self, capsys):
         code, payload, _ = run_json(capsys, "eval", "-1")
         assert code == 0

@@ -21,7 +21,7 @@ from rotorcalc.expr import (
     parse,
     tokenize,
 )
-from rotorcalc.unity import rotor_value
+from rotorcalc.unity import Rotor, rotor_value
 
 
 class TestTokenize:
@@ -241,6 +241,19 @@ class TestEvaluate:
         assert evaluate(parse("2^-1")) == 0.5 + 0j
         assert evaluate(parse("0^0")) == 1 + 0j
         assert evaluate(parse("(1 - 1)^2")) == 0j
+
+    def test_rotor_powers_are_exact(self):
+        # the rotor's turn times the exponent, not a complex power of its value
+        assert evaluate(parse("J^8")) == 1 + 0j
+        assert evaluate(parse("J^99999999999999999999")) == rotor_value(Rotor(7, 8))
+        assert evaluate(parse("I^1000000007")) == rotor_value(Rotor(5, 6))
+        assert evaluate(parse("rot(2,12)^-3")) == -1 + 0j
+        assert evaluate(parse("i^-1")) == -1j
+
+    def test_negative_power_of_an_underflowing_base(self):
+        # 1e-300^-2 is 1e600: the positive power underflows to 0.0 and is divided by
+        with pytest.raises(EvaluationError, match="power beyond float range"):
+            evaluate(parse("1e-300^-2"))
 
     def test_zero_to_negative_power(self):
         with pytest.raises(EvaluationError):

@@ -9,11 +9,13 @@ non-finite term) hold the overflow rule both share.  The routes differ only
 in where the weights W come from:
 - `solve_weights`: a `BinetForm`, the Vandermonde weights (`_vandermonde`) of
   the first n+1 iterated terms on the nodes (r_1, ..., r_n, 1), any order;
-- `binet2`, `binet3`, `m_form`: one `MForm`, the paper's rotor-chain expansion
-  sum_j M_j chain_j(k) folded over the chain rows sig_j as
-  W_m = sum_j M_j value(sig_j[m]); M is the paper's seed coefficients, closed
-  in the seeds, coefficients and resolvents (`_seed_form`), except that at
-  orders 3 and 4 m_form takes M from the Vandermonde weights W of the seeds;
+- `binet2`, `binet3`, `m_form`: one `MForm` per recurrence, built by
+  `_chain_form`: the paper's rotor-chain expansion sum_j M_j chain_j(k) folded
+  over the chain rows sig_j as W_m = sum_j M_j value(sig_j[m]).  At orders 2
+  and 3, M is the paper's seed coefficients, closed in the seeds, coefficients
+  and resolvents; at order 4, which the paper leaves open, M comes from the
+  Vandermonde weights W of the seeds.  m_form is that same form behind the
+  separation guard;
 - `component`: one chain row, W_m = value(sig_j[m]), the signed rows divided
   by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
 
@@ -25,7 +27,7 @@ however large kmax is, and the terms are bit-identical to `evaluate(k)`.
 
 Each characteristic polynomial is solved once: every form reads the roots,
 resolvents and divisor from one `roots.root_analysis` of the coefficients.
-`solve_weights`, `_seed_form` (behind binet2, binet3 and verify) and `m_form`
+`solve_weights` and `_chain_form` (behind binet2, binet3, m_form and verify)
 remember their forms, as the analysis remembers the roots: each keeps its
 last `roots._MEMO_SIZE` (16) results keyed by `repr` of the arguments, so a
 repeated call, verify's included, returns the stored form bit for bit.
@@ -40,7 +42,7 @@ from operator import add, attrgetter, mul, sub, truediv
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
 from .record import Record
 from .recurrence import Recurrence, as_float, exact_terms, iterate
-from .roots import CHAIN_ROWS, _from_resolvents, _memo, root_analysis
+from .roots import CHAIN_ROWS, _memo, root_analysis
 # Not called here: the benchmark's tracer patches these names on this module.
 from .roots import _cubic_labelled, cubic_roots, numeric_roots, quadratic_roots  # noqa: F401
 from .unity import rotor_value
@@ -51,15 +53,16 @@ _BLOCK = 4096  # consecutive k that verify evaluates at once
 
 def _powers(roots, ks) -> list:
     """r ** k over paired roots and exponents (each re-iterable or endless);
-    a power past float range is an infinity, which `_finite` then refuses."""
+    a power past float range, 0 to a negative k included, is an infinity,
+    which `_finite` then refuses."""
     try:
         return list(map(pow, roots, ks))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         powers = []
         for r, k in zip(roots, ks):
             try:
                 powers.append(r ** k)
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):
                 powers.append(cmath.inf)
         return powers
 
@@ -232,19 +235,26 @@ def _refuse_zero(analysis):
 
 
 @_memo
-def _seed_form(rec: Recurrence, n: int) -> MForm:
-    """binet{n}'s chain form: the paper's seed coefficients M over the order-n
-    chain rows.  Any n but rec.order is refused, so the memo holds one form
-    per recurrence.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
+def _chain_form(rec: Recurrence, n: int) -> MForm:
+    """rec's chain form, coefficients M over the order-n chain rows; any n
+    but rec.order is refused, so the memo holds one form per recurrence.
+    Orders 2 and 3 take the paper's seed coefficients and refuse a repeated
+    root exactly.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
     Order 3: M = (x0/3, -N2/(3D), N1/(3D)) with
     N1 = 9 s1 x2 - 3(2 c2 s1 + s2^2) x1 - ((c2^2 + 6 c1) s1 - c2 s2^2) x0
-    and N2 the same with s1 and s2 exchanged.
+    and N2 the same with s1 and s2 exchanged.  Order 4, which the paper
+    leaves open, maps the Vandermonde weights W of the seeds on the labelled
+    roots to M by `_INVERSE_4`, behind the separation guard.
     """
     if rec.order != n:
         raise ArityMismatch(f"binet{n} needs an order-{n} recurrence")
     a = root_analysis(rec.coeffs)
-    _refuse_zero(a)
     roots, sigmas, d = a.labelled, a.sigmas, a.divisor
+    if n == 4:
+        _guard_distinct(a.rootset.min_separation, rec)
+        w = _vandermonde(roots, map(as_float, rec.seeds))
+        return MForm(n, tuple(sum(map(mul, row, w)) for row in _INVERSE_4), roots)
+    _refuse_zero(a)
     if n == 2:
         x0, x1 = map(as_float, rec.seeds)
         return MForm(n, (complex(x0) / 2.0, (2.0 * x1 - rec.coeffs[1] * x0) / (2.0 * d)), roots)
@@ -264,7 +274,7 @@ def binet2(rec: Recurrence, k: int) -> float:
     x_k = ((2 x1 - c1 x0)/2) * (r1^k - r2^k)/sigma1 + (x0/2) * (r1^k + r2^k)
     with sigma1 = sqrt(c1^2 + 4 c0), r1,r2 = (c1 +/- sigma1)/2.
     """
-    return _seed_form(rec, 2).evaluate(k)
+    return _chain_form(rec, 2).evaluate(k)
 
 
 def binet3(rec: Recurrence, k: int) -> float:
@@ -272,33 +282,21 @@ def binet3(rec: Recurrence, k: int) -> float:
 
     With D = sigma1^3 - sigma2^3, the rotor-weighted power chains
     P_k = r1^k + w r2^k + w^2 r3^k and Q_k = r1^k + w^2 r2^k + w r3^k
-    (w the primitive cube root) and N1, N2 as in `_seed_form`,
+    (w the primitive cube root) and N1, N2 as in `_chain_form`,
     x_k = (N1/3)(Q_k/D) - (N2/3)(P_k/D) + (x0/3)(r1^k + r2^k + r3^k).
     """
-    return _seed_form(rec, 3).evaluate(k)
+    return _chain_form(rec, 3).evaluate(k)
 
 
-@_memo
 def m_form(rec: Recurrence) -> MForm:
-    """Rotor-expansion coefficients for orders 2-4.
-
-    Order 2 has closed coefficients M1 = x0/2, M2 = (2 x1 - c1 x0)/(2 sigma1);
-    at orders 3 and 4, M maps through the chain rows onto the Vandermonde
-    weights W of the seeds on the labelled roots.  Distinct roots required.
-    """
-    n = rec.order
-    if n not in (2, 3, 4):
-        raise UnsupportedDegree(f"rotor expansion covers orders 2-4, not {n}")
-    a = root_analysis(rec.coeffs)
-    if n == 2:
-        form = _seed_form(rec, 2)
-        _guard_distinct(a.rootset.min_separation, rec)
-        return form
-    _guard_distinct(a.rootset.min_separation, rec)
-    w = _vandermonde(a.labelled, map(as_float, rec.seeds))
-    if n == 3:  # _M_VALUES[3] is symmetric, so its inverse rows invert its transpose
-        return MForm(n, _from_resolvents(w[0], w[1:]), a.labelled)
-    return MForm(n, tuple(sum(map(mul, row, w)) for row in _INVERSE_4), a.labelled)
+    """Rotor-expansion coefficients for orders 2-4: `_chain_form`, the form
+    binet2 and binet3 evaluate at orders 2 and 3, returned only when the
+    roots pass the separation guard."""
+    if rec.order not in CHAIN_ROWS:
+        raise UnsupportedDegree(f"rotor expansion covers orders 2-4, not {rec.order}")
+    form = _chain_form(rec, rec.order)
+    _guard_distinct(root_analysis(rec.coeffs).rootset.min_separation, rec)
+    return form
 
 
 # component kind -> (order, chain row of CHAIN_ROWS[order])
@@ -344,11 +342,11 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
         raise ValueError("kmax must be nonnegative")
     forms = {"weights": solve_weights(rec)}
     if rec.order in (2, 3):
-        forms[f"binet{rec.order}"] = _seed_form(rec, rec.order)
+        forms[f"binet{rec.order}"] = _chain_form(rec, rec.order)
     if rec.order in (2, 3, 4):
         forms["m_form"] = m_form(rec)
 
-    # each distinct form is checked once: at order 2, m_form is binet2's form
+    # each distinct form is checked once: at orders 2 and 3, m_form is binetN's form
     checks = {id(form): form for form in forms.values()}
     worst = dict.fromkeys(checks, ())  # each form's running max, carried between blocks
     held = {}  # each form's first error, raised once every exact term converts

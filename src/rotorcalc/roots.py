@@ -361,7 +361,7 @@ def roots_from_sigma(c_top: float, sigmas, n: int):
             abs(sum(a * z for a, z in zip(row, sol)) - b) for row, b in zip(_ROWS4, rhs)
         )
         scale = 1.0 + max(abs(c_top), max(abs(s) for s in sigmas))
-        if residual > 1e-8 * scale:
+        if not residual <= 1e-8 * scale:  # a NaN residual fails too
             raise InconsistentSigmas(
                 f"sigma values are not consistent with any root tuple "
                 f"(residual {residual:.3g})"

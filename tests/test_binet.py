@@ -17,8 +17,8 @@ from rotorcalc.binet import (
     _M_VALUES,
     MForm,
     PowerTable,
+    _chain_form,
     _power_sum,
-    _seed_form,
     _vandermonde,
     binet2,
     binet3,
@@ -386,6 +386,23 @@ class TestMForm:
                 assert binet2(rec, k).hex() == mf.evaluate(k).hex(), (rec, k)
             checked += 1
 
+    @pytest.mark.parametrize("rec, binet", [(FIB, binet2), (TRIB, binet3)],
+                             ids=["fibonacci", "tribonacci"])
+    def test_is_the_stored_binet_form_at_orders_2_and_3(self, rec, binet):
+        value = binet(rec, 9)
+        mf = m_form(rec)
+        assert mf is _chain_form(rec, rec.order)
+        assert mf.evaluate(9).hex() == value.hex()
+
+    def test_order4_is_the_chain_form(self):
+        assert m_form(TETRA) is _chain_form(TETRA, 4)
+
+    def test_keeps_the_separation_guard_where_binet3_answers(self):
+        rec = Recurrence((0.00029782432933849156, -4.68153117177826, 7061.33762553412), (1, 1, 1))
+        assert cmath.isfinite(binet3(rec, 5))
+        with pytest.raises(DegenerateRoots, match="separated by only 0.00052"):
+            m_form(rec)
+
     def test_rows_come_from_the_order(self):
         for rec in (FIB, TRIB, TETRA):
             assert m_form(rec).signatures is CHAIN_ROWS[rec.order]
@@ -399,9 +416,9 @@ class TestMForm:
             "roots=((1.618033988749895+0j), (-0.6180339887498949+0j)))"
         )
         assert repr(m_form(TRIB)) == (
-            "MForm(order=3, coefficients=(0j, "
-            "(0.28261655416012327+9.25185853854297e-18j), "
-            "(0.05361156283481799-3.700743415417188e-17j)), "
+            "MForm(order=3, coefficients=(0.0, "
+            "(0.2826165541601232-0j), "
+            "(0.053611562834817876+0j)), "
             "signatures=((Rotor(num=0, den=1), Rotor(num=0, den=1), Rotor(num=0, den=1)), "
             "(Rotor(num=0, den=1), Rotor(num=1, den=3), Rotor(num=2, den=3)), "
             "(Rotor(num=0, den=1), Rotor(num=2, den=3), Rotor(num=1, den=3))), "
@@ -638,7 +655,7 @@ def _verified_forms(rec):
     """The forms verify checks for rec, as in verify."""
     forms = [solve_weights(rec)]
     if rec.order in (2, 3):
-        forms.append(_seed_form(rec, rec.order))
+        forms.append(_chain_form(rec, rec.order))
     forms.append(m_form(rec))
     return forms
 
@@ -825,6 +842,8 @@ class TestExactRepeatedRoots:
         assert not rec.integral
         with pytest.raises(DegenerateRoots, match=r"repeated root: D = sigma1\^3 - sigma2\^3 = 0"):
             binet3(rec, 30)
+        with pytest.raises(DegenerateRoots, match=r"^repeated root: D = sigma1\^3 - sigma2\^3 = 0$"):
+            m_form(rec)  # binet3's exact text, not the separation guard's
         for kind in "AB":
             with pytest.raises(DegenerateRoots):
                 component(rec, kind, 5)
@@ -894,6 +913,19 @@ class TestTermOverflow:
         with pytest.raises(TermOverflow):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: binet2(Recurrence((0, 1), (1, 1)), -1),
+        lambda: closed_term(solve_weights(Recurrence((0, 2), (1, 1))), -1),
+        lambda: component(Recurrence((0, 1), (1, 1)), "L", -1),
+    ], ids=["binet2", "closed_term", "component"])
+    def test_negative_k_on_a_zero_root(self, call):
+        # 0.0 ** -1 raises ZeroDivisionError: an infinite power, as past float range
+        with pytest.raises(TermOverflow, match=r"^the closed-form term at k=-1 is beyond float range$"):
+            call()
+
+    def test_negative_k_on_nonzero_roots_still_answers(self):
+        assert abs(binet2(FIB, -3) - 2) <= math.ulp(2.0)
+
     def test_m_form_evaluate(self):
         mf = m_form(TETRA)
         with pytest.raises(TermOverflow):
@@ -945,7 +977,7 @@ def _memo_calls(rec):
     if n == 3:
         calls += [(cubic_roots, *c), (binet3, rec, 7)]
     if n in (2, 3):
-        calls.append((_seed_form, rec, n))
+        calls.append((_chain_form, rec, n))
     return calls + [(verify, rec, 30)]
 
 
@@ -1002,17 +1034,19 @@ class TestMemo:
         assert any(isinstance(outcome, tuple) for outcome in fresh)
 
     def test_one_seed_form_per_recurrence(self, monkeypatch):
-        # m_form, binet2 and verify at order 2 share one stored MForm
+        # m_form, binetN and verify at orders 2 and 3 share one stored MForm
         built = []
         init = MForm.__init__
         monkeypatch.setattr(MForm, "__init__",
                             lambda form, *args: built.append(args) or init(form, *args))
-        form = m_form(FIB)
-        ks = (0, 1, 10, 70)
-        values = [binet2(FIB, k) for k in ks]
-        assert verify(FIB, 30).passed
-        assert len(built) == 1
-        assert values == [form.evaluate(k) for k in ks]
+        for rec, binet in ((FIB, binet2), (TRIB, binet3)):
+            built.clear()
+            form = m_form(rec)
+            ks = (0, 1, 10, 70)
+            values = [binet(rec, k) for k in ks]
+            assert verify(rec, 30).passed
+            assert len(built) == 1
+            assert values == [form.evaluate(k) for k in ks]
 
     @pytest.mark.parametrize("rec, call, text", [
         (TRIB, lambda rec: binet2(rec, 3), "binet2 needs an order-2 recurrence"),

@@ -408,6 +408,15 @@ class TestRootsFromSigma:
         with pytest.raises(InconsistentSigmas):
             roots_from_sigma(sum(roots4), sigmas, 4)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_sigmas_are_inconsistent(self, bad):
+        # a NaN residual compares false against any bound, so it must not pass
+        tetra = numeric_roots(CharPoly(4, (1, 1, 1, 1))).roots
+        sigmas = [sigma_from_roots(tetra, t)[0] for t in permutation_tables(4)[1:]]
+        for i in range(6):
+            with pytest.raises(InconsistentSigmas):
+                roots_from_sigma(sum(tetra), sigmas[:i] + [bad] + sigmas[i + 1:], 4)
+
     def test_arity_and_degree(self):
         with pytest.raises(ArityMismatch):
             roots_from_sigma(0.0, [1.0, 2.0], 2)
@@ -432,7 +441,7 @@ class TestClosedVersusNumeric:
 class TestMemo:
     def test_every_solver_and_form_builder_remembers(self):
         names = {fn.__name__ for fn in memos()}
-        assert names == {"root_analysis", "numeric_roots", "solve_weights", "_seed_form", "m_form"}
+        assert names == {"root_analysis", "numeric_roots", "solve_weights", "_chain_form"}
 
     @pytest.mark.parametrize("first, second", [
         (0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1), (2 ** 60 + 1, float(2 ** 60 + 1)),

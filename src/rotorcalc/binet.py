@@ -20,8 +20,10 @@ in where the weights W come from:
   by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
 
 `verify` checks each applicable form against iteration block by block: for
-each block of `_BLOCK` consecutive k it reads that many exact terms, builds
-one power table shared by every form, and folds each form's errors,
+each block of `_BLOCK` consecutive k it reads that many exact terms from
+`exact_terms`, converts them with one `list(map(float, ...))` (an exact term
+past float range is a TermOverflow), builds one power table shared by every
+form, and folds each form's errors,
 `form.terms(table)`, into the path's running max.  Memory stays O(block)
 however large kmax is, and the terms are bit-identical to `evaluate(k)`.
 
@@ -30,7 +32,8 @@ resolvents and divisor from one `roots.root_analysis` of the coefficients.
 `solve_weights` and `_chain_form` (behind binet2, binet3, m_form and verify)
 remember their forms, as the analysis remembers the roots: each keeps its
 last `roots._MEMO_SIZE` (16) results keyed by `repr` of the arguments, so a
-repeated call, verify's included, returns the stored form bit for bit.
+repeated call, verify's included, returns the stored form bit for bit; a
+Recurrence builds that repr text once and keeps it.
 Refusals are not stored; they are raised again on every call.
 """
 from __future__ import annotations
@@ -353,7 +356,10 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
     source = exact_terms(rec)
     for lo in range(0, kmax + 1, _BLOCK):
         hi = min(lo + _BLOCK, kmax + 1)
-        exact = list(map(as_float, islice(source, hi - lo)))
+        try:
+            exact = list(map(float, islice(source, hi - lo)))
+        except OverflowError:
+            raise TermOverflow("an exact value is beyond float range") from None
         scale = [x if x > 1.0 else 1.0 for x in map(abs, exact)]  # max(1.0, |x|)
         table = PowerTable(hi - 1, lo)
         for key, form in checks.items():

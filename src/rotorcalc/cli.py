@@ -169,6 +169,10 @@ def cmd_seq(args) -> int:
         raise _UsageError(f"--count must be at most {sys.maxsize}")
     values = iterate(rec, args.count)
     if args.format == "csv":
+        for k, v in enumerate(values):  # JSON's allow_nan=False refuses these too
+            if isinstance(v, float) and not math.isfinite(v):
+                raise TermOverflow(f"the result cannot be printed as CSV: the term at k={k} "
+                                   f"is beyond float range")
         try:
             text = "\n".join(["k,value"] + [f"{k},{v}" for k, v in enumerate(values)])
         except ValueError as exc:  # an integer past Python's digit limit

@@ -6,7 +6,8 @@ values in order, by position or keyword; a missing, extra or unknown argument
 raises TypeError.  A record that validates, computes or defaults a value has
 a short `__init__` that passes its final values to `super().__init__`.
 Equality, hashing and repr read `_fields` in order, as a frozen dataclass's
-do; any other assignment or deletion raises AttributeError.
+do; any other assignment or deletion raises AttributeError.  `copy` and
+`pickle` restore every set slot, computed and cached ones included.
 """
 from operator import attrgetter
 
@@ -48,3 +49,8 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a {self.__class__.__name__}")
+
+    def __setstate__(self, state):
+        _, slots = state  # object.__reduce_ex__'s (None, {slot: value}) of a slotted record
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)

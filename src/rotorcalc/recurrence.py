@@ -34,9 +34,12 @@ class Recurrence(Record):
     """x_{k+n} = c_{n-1} x_{k+n-1} + ... + c_0 x_k with seeds x_0..x_{n-1}.
 
     `integral` (every coefficient and seed an integer) is computed, not passed.
+    The repr text is built on first use and kept in `_repr`, outside repr,
+    equality and hash: every memo keyed by a Recurrence reads it.
     """
 
-    __slots__ = _fields = ("coeffs", "seeds", "integral")
+    _fields = ("coeffs", "seeds", "integral")
+    __slots__ = _fields + ("_repr",)
 
     def __init__(self, coeffs, seeds):
         coeffs, seeds = tuple(coeffs), tuple(seeds)
@@ -47,6 +50,14 @@ class Recurrence(Record):
                 f"{len(coeffs)} coefficients need {len(coeffs)} seeds, got {len(seeds)}"
             )
         super().__init__(coeffs, seeds, all(_is_integral(v) for v in coeffs + seeds))
+
+    def __repr__(self):
+        try:
+            return self._repr
+        except AttributeError:
+            text = super().__repr__()
+            object.__setattr__(self, "_repr", text)
+            return text
 
     @property
     def order(self) -> int:
@@ -93,7 +104,13 @@ def from_general(a) -> tuple:
 def exact_terms(rec: Recurrence):
     """x_0, x_1, ... without end; exact integers when the recurrence is
     integral.  Each step sums coeffs times the last n terms, so memory stays
-    O(n) however far the caller reads."""
+    O(n) however far the caller reads.
+
+    An integral recurrence of order 1-4 takes an unrolled step, such as
+    `a, b = b, c0*a + c1*b` at order 2; integer arithmetic is exact, so it
+    gives the generic step's values.  Every other recurrence takes the generic
+    `sum(map(mul, coeffs, window))`: from Python 3.12 `sum` compensates float
+    additions, so an unrolled float step would round differently."""
     if rec.integral:
         window = [int(x) for x in rec.seeds]
         coeffs = [int(c) for c in rec.coeffs]
@@ -101,6 +118,30 @@ def exact_terms(rec: Recurrence):
         window = [float(x) for x in rec.seeds]
         coeffs = [float(c) for c in rec.coeffs]
     yield from window
+    order = len(coeffs) if rec.integral else 0
+    if order == 1:
+        (c0,), (a,) = coeffs, window
+        while True:
+            a = c0 * a
+            yield a
+    elif order == 2:
+        c0, c1 = coeffs
+        a, b = window
+        while True:
+            a, b = b, c0 * a + c1 * b
+            yield b
+    elif order == 3:
+        c0, c1, c2 = coeffs
+        a, b, c = window
+        while True:
+            a, b, c = b, c, c0 * a + c1 * b + c2 * c
+            yield c
+    elif order == 4:
+        c0, c1, c2, c3 = coeffs
+        a, b, c, d = window
+        while True:
+            a, b, c, d = b, c, d, c0 * a + c1 * b + c2 * c + c3 * d
+            yield d
     window = deque(window, len(coeffs))
     while True:
         x = sum(map(mul, coeffs, window))

@@ -36,6 +36,7 @@ from rotorcalc.errors import (
     TermOverflow,
     UnsupportedDegree,
 )
+from rotorcalc.record import Record
 from rotorcalc.recurrence import CharPoly, Recurrence, exact_terms, iterate
 from rotorcalc.roots import (
     CHAIN_ROWS,
@@ -754,6 +755,10 @@ class TestVerifyBlocks:
         (Recurrence((-6, 5), (1, 2)), 700, "the closed-form term at k=647 is beyond float range"),
         # x_k = 2(-1)^k, the weight-0 root 3 again
         (Recurrence((3, 2), (2, -2)), 700, "the closed-form term at k=647 is beyond float range"),
+        # x_k = 2^k at orders 1, 3 and 4, each exact step unrolled
+        (Recurrence((2,), (1,)), 1100, "an exact value is beyond float range"),
+        (Recurrence((-6, -1, 4), (1, 2, 4)), 1100, "an exact value is beyond float range"),
+        (Recurrence((-12, -8, 7, 2), (1, 2, 4, 8)), 1100, "an exact value is beyond float range"),
     ])
     def test_overflow_refusals(self, monkeypatch, block, rec, kmax, message):
         if block is not None:
@@ -1047,6 +1052,17 @@ class TestMemo:
             assert verify(rec, 30).passed
             assert len(built) == 1
             assert values == [form.evaluate(k) for k in ks]
+
+    def test_a_recurrence_builds_its_repr_once(self, monkeypatch):
+        # each memo key is repr of the arguments; the Recurrence keeps its text
+        built = []
+        text = Record.__repr__
+        monkeypatch.setattr(Record, "__repr__", lambda record: built.append(record) or text(record))
+        rec = Recurrence((1, 1), (0, 1))
+        values = [binet2(rec, k) for k in range(10)]
+        assert sum(record is rec for record in built) == 1
+        assert [round(v) for v in values] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+        assert repr((rec, 2)) == "(Recurrence(coeffs=(1, 1), seeds=(0, 1), integral=True), 2)"
 
     @pytest.mark.parametrize("rec, call, text", [
         (TRIB, lambda rec: binet2(rec, 3), "binet2 needs an order-2 recurrence"),

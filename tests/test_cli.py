@@ -269,6 +269,17 @@ class TestSeq:
         assert out == ""
         assert "TermOverflow" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_float_term_past_float_range(self, capsys, fmt):
+        # x_2 = -1.5e308, then x_3 = 1.5 x_1 + 1.5 x_2 = -3.75e308 leaves float range
+        code, out, err = run(
+            capsys, "seq", "--coeffs=1.5,1.5", "--seeds=0.5,-1e308", "--count", "8",
+            "--format", fmt,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: TermOverflow")
+
 
 class TestVerify:
     def test_fibonacci_passes(self, capsys):

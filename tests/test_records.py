@@ -5,6 +5,9 @@ hashes and prints its fields in declaration order, refuses assignment and
 deletion, and keeps the exact repr text the library has always printed
 (pinned below, one instance per type).
 """
+import copy
+import pickle
+
 import pytest
 
 from rotorcalc import (
@@ -207,6 +210,23 @@ def test_wrong_arguments_raise_type_error(factory, fields, text):
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+def _set_slots(record):
+    """Every slot set on record: its fields, computed and cached ones included."""
+    names = {name for cls in type(record).__mro__ for name in getattr(cls, "__slots__", ())}
+    return {name: getattr(record, name) for name in names if hasattr(record, name)}
+
+
+@pytest.mark.parametrize("factory, fields, text", CASES, ids=_IDS)
+def test_copied_and_pickled(factory, fields, text):
+    a = factory()
+    repr(a)  # a Recurrence keeps its repr text from here on
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a) and twin is not a
+        assert _set_slots(twin) == _set_slots(a)
+        assert twin == a
+        assert repr(twin) == text
 
 
 def test_computed_fields_are_not_init_arguments():

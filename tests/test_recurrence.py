@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -14,6 +15,7 @@ from rotorcalc.recurrence import (
     Recurrence,
     characteristic_polynomial,
     characteristic_ratio,
+    exact_terms,
     from_general,
     iterate,
 )
@@ -195,3 +197,31 @@ def test_iterate_matches_the_window_loop():
         got = iterate(rec, count)
         assert len(got) == count
         assert _bits(got) == _bits(_iterate_by_window(rec, count)), (rec, count)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_integral_steps_match_the_window_loop(order):
+    # orders 1-4 take the unrolled integer step, 5 and 6 the generic one
+    rng = random.Random(90 + order)
+    coeff_sets = [
+        [0] * order,
+        [0] * (order - 1) + [-1],
+        [rng.randint(-5, 5) for _ in range(order)],
+        [float(rng.choice((0, 1, -2, 3))) for _ in range(order)],  # integral floats
+    ]
+    seed_sets = [
+        [rng.randint(-9, 9) for _ in range(order)],
+        [2 ** 64 + rng.randint(-9, 9) for _ in range(order)],
+        [-(10 ** 400) + rng.randint(-9, 9) for _ in range(order)],  # past float range
+    ]
+    for coeffs in coeff_sets:
+        for seeds in seed_sets:
+            rec = Recurrence(coeffs, seeds)
+            assert rec.integral
+            want = _iterate_by_window(rec, 2000)
+            for count in [*range(order + 3), 2000]:
+                got = iterate(rec, count)
+                assert got == want[:count] and all(type(x) is int for x in got), (rec, count)
+            for start in (1, order, order + 1, 1234):  # reads that start mid-stream
+                got = list(islice(exact_terms(rec), start, start + 50))
+                assert got == want[start:start + 50], (rec, start)

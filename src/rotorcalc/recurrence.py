@@ -17,11 +17,11 @@ from .errors import (
 from .record import Record
 
 
-def as_float(value) -> float:
-    """A coefficient, seed or exact term as a float for the closed forms and
+def as_floats(values) -> list:
+    """Coefficients, seeds or exact terms as floats for the closed forms and
     root solvers; an exact value beyond float range raises TermOverflow."""
     try:
-        return float(value)
+        return list(map(float, values))
     except OverflowError:
         raise TermOverflow("an exact value is beyond float range") from None
 
@@ -106,7 +106,7 @@ def exact_terms(rec: Recurrence):
     integral.  Each step sums coeffs times the last n terms, so memory stays
     O(n) however far the caller reads.
 
-    An integral recurrence of order 1-4 takes an unrolled step, such as
+    An integral recurrence of order 2-4 takes an unrolled step, such as
     `a, b = b, c0*a + c1*b` at order 2; integer arithmetic is exact, so it
     gives the generic step's values.  Every other recurrence takes the generic
     `sum(map(mul, coeffs, window))`: from Python 3.12 `sum` compensates float
@@ -119,12 +119,7 @@ def exact_terms(rec: Recurrence):
         coeffs = [float(c) for c in rec.coeffs]
     yield from window
     order = len(coeffs) if rec.integral else 0
-    if order == 1:
-        (c0,), (a,) = coeffs, window
-        while True:
-            a = c0 * a
-            yield a
-    elif order == 2:
+    if order == 2:
         c0, c1 = coeffs
         a, b = window
         while True:

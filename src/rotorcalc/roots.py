@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .record import Record
-from .recurrence import CharPoly, as_float
+from .recurrence import CharPoly, as_floats
 from .unity import rotor_pow, rotor_value, signature_rows
 
 # Argument tuples each memo remembers.  The closed forms of one recurrence
@@ -232,7 +232,7 @@ def numeric_roots(p: CharPoly, tol: float = 1e-10) -> RootSet:
     n = p.degree
     if n < 1:
         raise UnsupportedDegree("degree must be at least 1")
-    radius = 1.0 + max(abs(as_float(c)) for c in p.coeffs)
+    radius = 1.0 + max(map(abs, as_floats(p.coeffs)))
     offset = (math.sqrt(5.0) - 1.0) / 2.0  # radians
     zs = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + offset)) for k in range(n)]
     for _ in range(1000):

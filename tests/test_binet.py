@@ -755,7 +755,7 @@ class TestVerifyBlocks:
         (Recurrence((-6, 5), (1, 2)), 700, "the closed-form term at k=647 is beyond float range"),
         # x_k = 2(-1)^k, the weight-0 root 3 again
         (Recurrence((3, 2), (2, -2)), 700, "the closed-form term at k=647 is beyond float range"),
-        # x_k = 2^k at orders 1, 3 and 4, each exact step unrolled
+        # x_k = 2^k at order 1 (the generic step) and at orders 3 and 4 (unrolled)
         (Recurrence((2,), (1,)), 1100, "an exact value is beyond float range"),
         (Recurrence((-6, -1, 4), (1, 2, 4)), 1100, "an exact value is beyond float range"),
         (Recurrence((-12, -8, 7, 2), (1, 2, 4, 8)), 1100, "an exact value is beyond float range"),

@@ -201,7 +201,7 @@ def test_iterate_matches_the_window_loop():
 
 @pytest.mark.parametrize("order", range(1, 7))
 def test_integral_steps_match_the_window_loop(order):
-    # orders 1-4 take the unrolled integer step, 5 and 6 the generic one
+    # orders 2-4 take the unrolled integer step, 1, 5 and 6 the generic one
     rng = random.Random(90 + order)
     coeff_sets = [
         [0] * order,

@@ -24,8 +24,11 @@ each block of `_BLOCK` consecutive k it reads that many exact terms from
 `exact_terms`, converts them with one `recurrence.as_floats` (an exact term
 past float range is a TermOverflow), builds one power table shared by every
 form, and folds each form's errors, `form.terms(table)`, into the path's
-running max.  Memory stays O(block)
-however large kmax is, and the terms are bit-identical to `evaluate(k)`.
+running max.  The table multiplies a complex root's powers for k <= 100 out
+of CPython's own squaring chain for `complex ** int` (`_chain_powers`) and
+calls pow beyond that, bit-identical to `r ** k` either way.  Memory stays
+O(block) however large kmax is, and the terms are bit-identical to
+`evaluate(k)`.
 
 Each characteristic polynomial is solved once: every form reads the roots,
 resolvents and divisor from one `roots.root_analysis` of the coefficients.
@@ -52,6 +55,7 @@ from .unity import rotor_value
 
 _INT_SNAP_LIMIT = 2.0 ** 52
 _BLOCK = 4096  # consecutive k that verify evaluates at once
+_CHAIN_KMAX = 100  # CPython's complex ** int runs its squaring chain up to this k
 
 
 def _powers(roots, ks) -> list:
@@ -68,6 +72,24 @@ def _powers(roots, ks) -> list:
             except (OverflowError, ZeroDivisionError):
                 powers.append(cmath.inf)
         return powers
+
+
+def _chain_powers(r: complex, n: int) -> list:
+    """r ** k for k < n <= _CHAIN_KMAX + 1, one multiply each and no pow.
+
+    For k <= 100, CPython's `complex ** int` (`c_powu`) starts from
+    complex(1.0, 0.0) and multiplies in r^(2^j), squared from r, for each set
+    bit j of k in ascending order, so its last product for k is
+    r ** (k - 2^top) times r^(2^top): the same bits as `r ** k`.  Where pow
+    raises OverflowError the entry is that product, with an infinite part,
+    not `_powers`' infinity; w times it is inf or nan for every finite w, 0
+    included, so `_finite` still refuses the power sum at that k."""
+    row = [complex(1.0, 0.0)]
+    p = r  # r^(2^j), squared as c_powu squares it
+    while len(row) < n:
+        row.extend(map(mul, row[:n - len(row)], repeat(p)))
+        p *= p
+    return row
 
 
 def _finite(total, k: int):
@@ -88,6 +110,9 @@ class PowerTable:
 
     Rows are keyed by repr, which tells a float from a complex and 0.0 from
     -0.0, so a shared row holds exactly the bits `r ** k` gives each root.
+    A table that starts at k = 0 takes a complex root's entries up to
+    k = 100 from `_chain_powers`, where pow would run a binary powering loop
+    per entry; later entries, float roots and later tables call pow.
     """
 
     __slots__ = ("ks", "_rows")
@@ -100,7 +125,13 @@ class PowerTable:
         key = repr(r)
         row = self._rows.get(key)
         if row is None:
-            row = self._rows[key] = _powers(repeat(r), self.ks)
+            ks = self.ks
+            if ks and ks.start == 0 and type(r) is complex:
+                row = _chain_powers(r, min(len(ks), _CHAIN_KMAX + 1))
+                row += _powers(repeat(r), ks[len(row):])
+            else:
+                row = _powers(repeat(r), ks)
+            self._rows[key] = row
         return row
 
 

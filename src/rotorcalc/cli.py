@@ -13,11 +13,12 @@ import cmath
 import json
 import math
 import sys
+from itertools import islice
 
 from .binet import closed_term, solve_weights, verify
 from .errors import DomainError, EvaluationError, TermOverflow, UnsupportedDegree
 from .expr import evaluate, parse
-from .recurrence import CharPoly, Recurrence, iterate
+from .recurrence import CharPoly, Recurrence, exact_terms, iterate
 from .roots import cubic_resolvents, cubic_roots, numeric_roots, quadratic_roots
 from .unity import (
     FAMILY_ORDERS, REFERENCE_LABELS, REFERENCE_TABLES, diff_reference, family_elements,
@@ -148,7 +149,7 @@ def cmd_term(args) -> int:
     rec = _recurrence(args)
     if args.k < 0:
         raise _UsageError("-k must be nonnegative")
-    if args.k >= sys.maxsize and rec.integral:  # iterate's islice takes at most that many
+    if args.k >= sys.maxsize and rec.integral:  # islice skips at most that many
         raise _UsageError(f"-k must be below {sys.maxsize} for an integral recurrence")
     term = closed_term(solve_weights(rec), args.k)
     payload = {"k": args.k, "closed": _cplx(term.value)}
@@ -156,7 +157,7 @@ def cmd_term(args) -> int:
         payload["nearest"] = term.nearest
         payload["distance"] = term.distance
     if rec.integral:
-        payload["exact"] = iterate(rec, args.k + 1)[-1]
+        payload["exact"] = next(islice(exact_terms(rec), args.k, None))  # O(order) terms held
     _emit(payload)
     return 0
 

@@ -685,21 +685,26 @@ class TestBatchedPass:
                 assert batched == [_hex(form.evaluate(k)) for k in range(kmax + 1)], (rec, form)
             checked += 1
 
+    # x_k = 2(-1)^k; the weight on the other root, 3 or 1e10, is exactly 0, but
+    # 3^647 leaves float range past k = 100 (pow) and 1e10^31 before it (the chain)
+    ZERO_WEIGHT_OVERFLOWS = [(Recurrence((3, 2), (2, -2)), 700, 647),
+                             (Recurrence((10 ** 10, 10 ** 10 - 1), (2, -2)), 100, 31)]
+
     def test_terms_overflow_at_the_same_k_as_evaluate(self):
-        rec = Recurrence((3, 2), (2, -2))
-        for form in _verified_forms(rec):
-            with pytest.raises(TermOverflow) as single:
-                for k in range(701):
-                    form.evaluate(k)
-            with pytest.raises(TermOverflow) as batched:
-                list(form.terms(PowerTable(700)))
-            assert str(batched.value) == str(single.value)
+        for rec, kmax, _ in self.ZERO_WEIGHT_OVERFLOWS:
+            for form in _verified_forms(rec):
+                with pytest.raises(TermOverflow) as single:
+                    for k in range(kmax + 1):
+                        form.evaluate(k)
+                with pytest.raises(TermOverflow) as batched:
+                    list(form.terms(PowerTable(kmax)))
+                assert str(batched.value) == str(single.value)
 
     def test_verify_overflow_in_a_zero_weight_root(self):
-        # x_k = 2(-1)^k; the weight on the root 3 is 0, but 3^647 leaves float range
-        with pytest.raises(TermOverflow, match=r"at k=647 is beyond float range"):
-            verify(Recurrence((3, 2), (2, -2)), 700)
-        assert verify(Recurrence((3, 2), (2, -2)), 640).passed
+        for rec, kmax, k in self.ZERO_WEIGHT_OVERFLOWS:
+            with pytest.raises(TermOverflow, match=rf"at k={k} is beyond float range"):
+                verify(rec, kmax)
+            assert verify(rec, k - 1).passed
 
     def test_rows_are_shared_by_root_value(self):
         table = PowerTable(5)
@@ -707,6 +712,44 @@ class TestBatchedPass:
         assert table.row(1.5 + 0j) == [(1.5 + 0j) ** k for k in range(6)]
         assert table.row(complex(-0.0, 0.0)) is not table.row(0j)
         assert table.row(2.0) is not table.row(2 + 0j)
+
+    def test_rows_are_pow_bitwise(self):
+        # up to k = 100 a complex root's row multiplies out CPython's own
+        # squaring chain for complex ** int; this pins that on each interpreter
+        rng = random.Random(1013)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0 ** -1022]
+
+        def part(scale):
+            if rng.random() < 0.2:
+                return rng.choice(specials)
+            return rng.uniform(-1, 1) * scale
+        roots = [0j, complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 1j, -1 + 0j, 2.0, -0.5, 0.0]
+        for _ in range(40):
+            t = rng.uniform(-math.pi, math.pi)
+            roots.append(complex(math.cos(t), math.sin(t)))  # unit modulus, up to rounding
+            roots.append(cmath.rect(10 ** rng.uniform(-160, 160), t))  # many overflow or underflow before k = 100
+            roots.append(complex(part(3.0), part(3.0)))
+        overflowed = 0
+        for r in roots:
+            for first, kmax in [(0, 0), (0, 1), (0, 63), (0, 64), (0, 99), (0, 100), (0, 101), (0, 200), (37, 140)]:
+                ks = range(first, kmax + 1)
+                row = PowerTable(kmax, first).row(r)
+                assert len(row) == len(ks)
+                for k, got in zip(ks, row):
+                    try:
+                        want = r ** k
+                    except OverflowError:
+                        # pow's own product, or _powers' infinity: every sum
+                        # holding it is non-finite, whatever its weight
+                        assert not any(map(cmath.isfinite, (got, 0j * got, 5e-324 * got, -1j * got))), (r, k)
+                        overflowed += 1
+                        continue
+                    assert _hex(got) == _hex(want), (r, first, kmax, k)
+        assert overflowed > 1000
+
+    def test_verify_refuses_a_negative_kmax(self):
+        with pytest.raises(ValueError, match="kmax must be nonnegative"):
+            verify(FIB, -1)
 
     def test_verify_evaluates_no_form_term_by_term(self, monkeypatch):
         def refuse(self, k):

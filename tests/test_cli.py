@@ -4,13 +4,16 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import rotorcalc
+from rotorcalc.binet import closed_term, solve_weights
 from rotorcalc.cli import main
 from rotorcalc.expr import evaluate, parse
+from rotorcalc.recurrence import Recurrence, iterate
 from rotorcalc.unity import FAMILY_LABELS, REFERENCE_LABELS, label_rotor, rotor_value
 
 
@@ -214,6 +217,30 @@ class TestTerm:
         assert code == 0
         assert payload["k"] == 10 ** 20
         assert "exact" not in payload
+
+    def test_exact_term_memory_does_not_grow_with_k(self, capsys):
+        # x_k has period 6, so the exact term is 0 at k = 300000; iterating to
+        # it must hold O(order) terms, not all k + 1 of them
+        argv = ["term", "--coeffs=-1,1", "--seeds=0,1", "-k", "300000"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        rec = Recurrence((-1, 1), (0, 1))
+        term = closed_term(solve_weights(rec), 300000)
+        assert payload == {
+            "k": 300000,
+            "closed": {"re": term.value.real, "im": term.value.imag},
+            "nearest": term.nearest,
+            "distance": term.distance,
+            "exact": iterate(rec, 300001)[-1],
+        }
+        assert payload["exact"] == 0
+        assert peak < 2 * 2 ** 20, peak
 
 
 class TestSeq:

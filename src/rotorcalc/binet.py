@@ -3,10 +3,9 @@
 Every closed form here is one weighted power sum over the characteristic
 roots, x_k = sum_m W_m r_m^k: `_power_sum` at one k, and `_power_sums` over
 a `PowerTable`'s range of k, a column of sums built one root at a time from
-each distinct root's row of powers.  `_powers`
-(r ** k, infinite past float range) and `_finite` (TermOverflow on a
-non-finite term) hold the overflow rule both share.  The routes differ only
-in where the weights W come from:
+each distinct root's row of powers.  `_powers` (r ** k, infinite past float
+range) and `_finite` (TermOverflow on a non-finite term) hold the overflow
+rule both share.  The routes differ only in where the weights W come from:
 - `solve_weights`: a `BinetForm`, the Vandermonde weights (`_vandermonde`) of
   the first n+1 iterated terms on the nodes (r_1, ..., r_n, 1), any order;
 - `binet2`, `binet3`, `m_form`: one `MForm` per recurrence, built by
@@ -19,36 +18,31 @@ in where the weights W come from:
 - `component`: one chain row, W_m = value(sig_j[m]), the signed rows divided
   by sigma1 (order 2) or D = sigma1^3 - sigma2^3 (order 3).
 
-`verify` checks each applicable form against iteration block by block: for
-each block of `_BLOCK` consecutive k it reads that many exact terms from
+`verify` checks each applicable form against iteration block by block: for each
+block of `_BLOCK` consecutive k it reads that many exact terms from
 `exact_terms`, converts them with one `recurrence.as_floats` (an exact term
 past float range is a TermOverflow), builds one power table shared by every
 form, and folds each form's errors, `form.terms(table)`, into the path's
-running max.  The table multiplies a complex root's powers for k <= 100 out
-of CPython's own squaring chain for `complex ** int` (`_chain_powers`) and
-calls pow beyond that, bit-identical to `r ** k` either way.  Memory stays
-O(block) however large kmax is, and the terms are bit-identical to
-`evaluate(k)`.
+running max.  The table multiplies a complex root's powers for k <= 100 out of
+CPython's own squaring chain for `complex ** int` (`_chain_powers`) and calls
+pow beyond that, bit-identical to `r ** k` either way.  Memory stays O(block)
+however large kmax is, and the terms are bit-identical to `evaluate(k)`.
 
-Each characteristic polynomial is solved once: every form reads the roots,
-resolvents and divisor from one `roots.root_analysis` of the coefficients.
-`solve_weights` and `_chain_form` (behind binet2, binet3, m_form and verify)
-remember their forms, as the analysis remembers the roots: each keeps its
-last `roots._MEMO_SIZE` (16) results keyed by `repr` of the arguments, so a
-repeated call, verify's included, returns the stored form bit for bit; a
-Recurrence builds that repr text once and keeps it.
-Refusals are not stored; they are raised again on every call.
+Every form reads its roots from one `roots.root_analysis`.  `solve_weights`
+and `_chain_form` (behind binet2, binet3, m_form and verify) keep their form on
+the Recurrence (`_kept`), so a repeated call returns the same object.
 """
 from __future__ import annotations
 
 import cmath
+from functools import wraps
 from itertools import chain, islice, repeat
 from operator import add, attrgetter, mul, sub, truediv
 
 from .errors import ArityMismatch, DegenerateRoots, SingularSystem, TermOverflow, UnsupportedDegree
 from .record import Record
 from .recurrence import Recurrence, as_floats, exact_terms, iterate
-from .roots import CHAIN_ROWS, _memo, root_analysis
+from .roots import CHAIN_ROWS, root_analysis
 # Not called here: the benchmark's tracer patches these names on this module.
 from .roots import _cubic_labelled, cubic_roots, numeric_roots, quadratic_roots  # noqa: F401
 from .unity import rotor_value
@@ -215,6 +209,19 @@ def _guard_distinct(separation: float, rec: Recurrence):
         raise DegenerateRoots(f"characteristic roots separated by only {separation:.3g}")
 
 
+def _kept(slot: str):
+    """fn(rec), built on rec's first call and kept in rec's `slot`; a refusal
+    is not kept.  Threads racing on one rec may each build an equal form."""
+    def keep(fn):
+        @wraps(fn)
+        def kept(rec):
+            if getattr(rec, slot, None) is None:
+                object.__setattr__(rec, slot, fn(rec))
+            return getattr(rec, slot)
+        return kept
+    return keep
+
+
 def _vandermonde(nodes, values) -> tuple:
     """The weights w with sum_j w_j * nodes[j]^i = values[i] for i < len(nodes),
     in the order of nodes: Bjorck and Pereyra's O(n^2) solve (Golub and Van
@@ -236,7 +243,7 @@ def _vandermonde(nodes, values) -> tuple:
     return tuple(w for _, w in sorted(zip(order, b)))  # back in the caller's order
 
 
-@_memo
+@_kept("weights_form")
 def solve_weights(rec: Recurrence) -> BinetForm:
     """Solve x_k = sum(w_j r_j^k) + w_const from the first n+1 terms.
 
@@ -268,10 +275,9 @@ def _refuse_zero(analysis):
         raise DegenerateRoots(f"repeated root: {name} = 0")
 
 
-@_memo
-def _chain_form(rec: Recurrence, n: int) -> MForm:
-    """rec's chain form, coefficients M over the order-n chain rows; any n
-    but rec.order is refused, so the memo holds one form per recurrence.
+@_kept("chain_form")
+def _chain_form(rec: Recurrence) -> MForm:
+    """rec's chain form, coefficients M over the chain rows of its order 2-4.
     Orders 2 and 3 take the paper's seed coefficients and refuse a repeated
     root exactly.  Order 2: M = (x0/2, (2 x1 - c1 x0)/(2 sigma1)).
     Order 3: M = (x0/3, -N2/(3D), N1/(3D)) with
@@ -280,8 +286,7 @@ def _chain_form(rec: Recurrence, n: int) -> MForm:
     leaves open, maps the Vandermonde weights W of the seeds on the labelled
     roots to M by `_INVERSE_4`, behind the separation guard.
     """
-    if rec.order != n:
-        raise ArityMismatch(f"binet{n} needs an order-{n} recurrence")
+    n = rec.order
     a = root_analysis(rec.coeffs)
     roots, sigmas, d = a.labelled, a.sigmas, a.divisor
     if n == 4:
@@ -308,7 +313,9 @@ def binet2(rec: Recurrence, k: int) -> float:
     x_k = ((2 x1 - c1 x0)/2) * (r1^k - r2^k)/sigma1 + (x0/2) * (r1^k + r2^k)
     with sigma1 = sqrt(c1^2 + 4 c0), r1,r2 = (c1 +/- sigma1)/2.
     """
-    return _chain_form(rec, 2).evaluate(k)
+    if rec.order != 2:
+        raise ArityMismatch("binet2 needs an order-2 recurrence")
+    return _chain_form(rec).evaluate(k)
 
 
 def binet3(rec: Recurrence, k: int) -> float:
@@ -319,7 +326,9 @@ def binet3(rec: Recurrence, k: int) -> float:
     (w the primitive cube root) and N1, N2 as in `_chain_form`,
     x_k = (N1/3)(Q_k/D) - (N2/3)(P_k/D) + (x0/3)(r1^k + r2^k + r3^k).
     """
-    return _chain_form(rec, 3).evaluate(k)
+    if rec.order != 3:
+        raise ArityMismatch("binet3 needs an order-3 recurrence")
+    return _chain_form(rec).evaluate(k)
 
 
 def m_form(rec: Recurrence) -> MForm:
@@ -328,7 +337,7 @@ def m_form(rec: Recurrence) -> MForm:
     roots pass the separation guard."""
     if rec.order not in CHAIN_ROWS:
         raise UnsupportedDegree(f"rotor expansion covers orders 2-4, not {rec.order}")
-    form = _chain_form(rec, rec.order)
+    form = _chain_form(rec)
     _guard_distinct(root_analysis(rec.coeffs).rootset.min_separation, rec)
     return form
 
@@ -376,7 +385,7 @@ def verify(rec: Recurrence, kmax: int, rel_tol: float = 1e-8) -> VerifyReport:
         raise ValueError("kmax must be nonnegative")
     forms = {"weights": solve_weights(rec)}
     if rec.order in (2, 3):
-        forms[f"binet{rec.order}"] = _chain_form(rec, rec.order)
+        forms[f"binet{rec.order}"] = _chain_form(rec)
     if rec.order in (2, 3, 4):
         forms["m_form"] = m_form(rec)
 

@@ -34,12 +34,12 @@ class Recurrence(Record):
     """x_{k+n} = c_{n-1} x_{k+n-1} + ... + c_0 x_k with seeds x_0..x_{n-1}.
 
     `integral` (every coefficient and seed an integer) is computed, not passed.
-    The repr text is built on first use and kept in `_repr`, outside repr,
-    equality and hash: every memo keyed by a Recurrence reads it.
+    `binet` keeps its forms in `weights_form` and `chain_form`, each built on
+    first use and left out of repr, equality and hash.
     """
 
     _fields = ("coeffs", "seeds", "integral")
-    __slots__ = _fields + ("_repr",)
+    __slots__ = _fields + ("weights_form", "chain_form")
 
     def __init__(self, coeffs, seeds):
         coeffs, seeds = tuple(coeffs), tuple(seeds)
@@ -50,14 +50,6 @@ class Recurrence(Record):
                 f"{len(coeffs)} coefficients need {len(coeffs)} seeds, got {len(seeds)}"
             )
         super().__init__(coeffs, seeds, all(_is_integral(v) for v in coeffs + seeds))
-
-    def __repr__(self):
-        try:
-            return self._repr
-        except AttributeError:
-            text = super().__repr__()
-            object.__setattr__(self, "_repr", text)
-            return text
 
     @property
     def order(self) -> int:

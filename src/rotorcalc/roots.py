@@ -8,10 +8,10 @@ the roots back from those values.
 
 Every closed form of a recurrence starts from the same roots, so one
 `root_analysis` of the coefficients holds them; the closed root solvers and
-the form builders in `binet` read it.  It, `numeric_roots` and those builders
-are wrapped in `_memo`: each remembers its results for the last `_MEMO_SIZE`
-argument tuples, keyed by `repr`, and a repeated call returns the stored
-record instead of solving again.
+the form builders in `binet` read it.  It and `numeric_roots`, whose callers
+pass raw coefficients, are wrapped in `_memo`: each remembers its results for
+the last `_MEMO_SIZE` argument tuples, keyed by `repr`, so a repeated call
+returns the stored record; `binet` keeps its forms on each Recurrence.
 """
 from __future__ import annotations
 
@@ -33,9 +33,8 @@ from .record import Record
 from .recurrence import CharPoly, as_floats
 from .unity import rotor_pow, rotor_value, signature_rows
 
-# Argument tuples each memo remembers.  The closed forms of one recurrence
-# reuse a handful of entries (its roots, weights, seed and M forms), so this
-# keeps a few recent recurrences; 64 answered no faster and held 4x the memory.
+# Argument tuples each memo remembers: the analyses and roots of a few recent
+# polynomials.  64 answered no faster and held 4x the memory.
 _MEMO_SIZE = 16
 _MISS = object()
 

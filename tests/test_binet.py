@@ -1,6 +1,10 @@
 import cmath
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +19,7 @@ import rotorcalc.roots
 from rotorcalc.binet import (
     _INVERSE_4,
     _M_VALUES,
+    BinetForm,
     MForm,
     PowerTable,
     _chain_form,
@@ -36,7 +41,6 @@ from rotorcalc.errors import (
     TermOverflow,
     UnsupportedDegree,
 )
-from rotorcalc.record import Record
 from rotorcalc.recurrence import CharPoly, Recurrence, exact_terms, iterate
 from rotorcalc.roots import (
     CHAIN_ROWS,
@@ -392,11 +396,11 @@ class TestMForm:
     def test_is_the_stored_binet_form_at_orders_2_and_3(self, rec, binet):
         value = binet(rec, 9)
         mf = m_form(rec)
-        assert mf is _chain_form(rec, rec.order)
+        assert mf is _chain_form(rec)
         assert mf.evaluate(9).hex() == value.hex()
 
     def test_order4_is_the_chain_form(self):
-        assert m_form(TETRA) is _chain_form(TETRA, 4)
+        assert m_form(TETRA) is _chain_form(TETRA)
 
     def test_keeps_the_separation_guard_where_binet3_answers(self):
         rec = Recurrence((0.00029782432933849156, -4.68153117177826, 7061.33762553412), (1, 1, 1))
@@ -571,17 +575,18 @@ class TestVerify:
             calls.append(args)
             return original(*args)
         monkeypatch.setattr(rotorcalc.roots, "cubic_resolvents", counted)
-        cubic_roots(*TRIB.coeffs)
-        solve_weights(TRIB)
-        m_form(TRIB)
+        rec = _fresh(TRIB)
+        cubic_roots(*rec.coeffs)
+        solve_weights(rec)
+        m_form(rec)
         for k in (1, 10, 100, 1000):
-            binet3(TRIB, k)
-        report = verify(TRIB, 50, 1e-8)
+            binet3(rec, k)
+        report = verify(rec, 50, 1e-8)
         assert report.passed
         # the roots, weights, binet3 and m_form paths all read one remembered solve
         assert len(calls) == 1
         calls.clear()
-        assert verify(TRIB, 50, 1e-8) == report
+        assert verify(rec, 50, 1e-8) == report
         assert calls == []
 
     @pytest.mark.parametrize("rec, roots, steps", [
@@ -601,6 +606,7 @@ class TestVerify:
         solver_cmath = SimpleNamespace(**{**vars(cmath), "sqrt": counted("sqrt"),
                                           "exp": counted("exp")})
         monkeypatch.setattr(rotorcalc.roots, "cmath", solver_cmath)
+        rec = _fresh(rec)
         roots(rec.coeffs)
         form = solve_weights(rec)
         mform = m_form(rec)
@@ -656,7 +662,7 @@ def _verified_forms(rec):
     """The forms verify checks for rec, as in verify."""
     forms = [solve_weights(rec)]
     if rec.order in (2, 3):
-        forms.append(_chain_form(rec, rec.order))
+        forms.append(_chain_form(rec))
     forms.append(m_form(rec))
     return forms
 
@@ -1015,8 +1021,15 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def _memo_calls(rec):
-    """Every remembering function, and a few that go through them, on rec."""
+def _fresh(rec):
+    """A new Recurrence equal to rec that holds no kept form yet: the module's
+    FIB, TRIB and TETRA carry their forms from one test into the next."""
+    return Recurrence(rec.coeffs, rec.seeds)
+
+
+def _form_calls(rec):
+    """Every remembering solver and form builder, and a few that go through
+    them, on rec."""
     n, c = rec.order, rec.coeffs
     calls = [(root_analysis, c), (numeric_roots, CharPoly(n, c)), (solve_weights, rec),
              (m_form, rec)]
@@ -1025,19 +1038,19 @@ def _memo_calls(rec):
     if n == 3:
         calls += [(cubic_roots, *c), (binet3, rec, 7)]
     if n in (2, 3):
-        calls.append((_chain_form, rec, n))
+        calls.append((_chain_form, rec))
     return calls + [(verify, rec, 30)]
 
 
 class TestMemo:
     def test_int_float_and_big_int_seeds_get_their_own_forms(self):
-        recs = [FIB, Recurrence((1.0, 1.0), (0.0, 1.0)), Recurrence((1, 1), (0, 2 ** 60 + 1)),
-                Recurrence((1, 1), (0, float(2 ** 60 + 1)))]
+        recs = [Recurrence((1, 1), (0, 1)), Recurrence((1.0, 1.0), (0.0, 1.0)),
+                Recurrence((1, 1), (0, 2 ** 60 + 1)), Recurrence((1, 1), (0, float(2 ** 60 + 1)))]
         remembered = [repr(solve_weights(rec)) for rec in recs]
         assert len(set(remembered)) == 4
         for rec, seen in zip(recs, remembered):
             clear_memos()
-            assert repr(solve_weights(rec)) == seen
+            assert repr(solve_weights(_fresh(rec))) == seen
             assert solve_weights(rec).source.seeds == rec.seeds
 
     def test_degenerate_roots_are_refused_on_every_call(self):
@@ -1051,9 +1064,9 @@ class TestMemo:
 
     def test_hits_are_repr_equal_to_fresh_solves(self):
         # orders 2-4 with integral, quarter-grid and mixed 0 / 0.0 / -0.0 /
-        # 1 / 1.0 coefficients, each call once on a cleared memo and then
-        # twice in a row with the memo kept
-        # and each mixed one followed by its == twin of other reprs
+        # 1 / 1.0 coefficients, each call once on cleared memos and a new
+        # Recurrence, and then twice in a row on one Recurrence with the
+        # memos kept, and each mixed one followed by its == twin of other reprs
         rng = random.Random(1111)
         mixed = (0, 0.0, -0.0, 1, 1.0, -1, -1.0, 2, 0.5, -0.25)
         twin = {"0": -0.0, "0.0": 0, "-0.0": 0.0, "1": 1.0, "1.0": 1, "-1": -1.0, "-1.0": -1}
@@ -1069,11 +1082,12 @@ class TestMemo:
                                  tuple(rng.choice(mixed) for _ in range(order)))
                 recs += [rec, Recurrence(*([twin.get(repr(v), v) for v in vs]
                                            for vs in (rec.coeffs, rec.seeds)))]
-        calls = [call for rec in recs for call in _memo_calls(rec)]
+        calls = [call for rec in recs for call in _form_calls(rec)]
         fresh = []
         for fn, *args in calls:
             clear_memos()
-            fresh.append(_outcome(fn, *args))
+            fresh.append(_outcome(fn, *[_fresh(a) if isinstance(a, Recurrence) else a
+                                        for a in args]))
         clear_memos()
         kept = [_outcome(fn, *args) for fn, *args in calls]
         again = [_outcome(fn, *args) for fn, *args in calls]
@@ -1082,12 +1096,12 @@ class TestMemo:
         assert any(isinstance(outcome, tuple) for outcome in fresh)
 
     def test_one_seed_form_per_recurrence(self, monkeypatch):
-        # m_form, binetN and verify at orders 2 and 3 share one stored MForm
+        # m_form, binetN and verify at orders 2 and 3 share one kept MForm
         built = []
         init = MForm.__init__
         monkeypatch.setattr(MForm, "__init__",
                             lambda form, *args: built.append(args) or init(form, *args))
-        for rec, binet in ((FIB, binet2), (TRIB, binet3)):
+        for rec, binet in ((_fresh(FIB), binet2), (_fresh(TRIB), binet3)):
             built.clear()
             form = m_form(rec)
             ks = (0, 1, 10, 70)
@@ -1096,14 +1110,14 @@ class TestMemo:
             assert len(built) == 1
             assert values == [form.evaluate(k) for k in ks]
 
-    def test_a_recurrence_builds_its_repr_once(self, monkeypatch):
-        # each memo key is repr of the arguments; the Recurrence keeps its text
-        built = []
-        text = Record.__repr__
-        monkeypatch.setattr(Record, "__repr__", lambda record: built.append(record) or text(record))
+    def test_binet2_never_reads_the_recurrence_repr(self, monkeypatch):
+        # no memo is keyed by a Recurrence: its forms are kept on it
+        read = []
+        text = Recurrence.__repr__
+        monkeypatch.setattr(Recurrence, "__repr__", lambda rec: read.append(rec) or text(rec))
         rec = Recurrence((1, 1), (0, 1))
         values = [binet2(rec, k) for k in range(10)]
-        assert sum(record is rec for record in built) == 1
+        assert read == []
         assert [round(v) for v in values] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
         assert repr((rec, 2)) == "(Recurrence(coeffs=(1, 1), seeds=(0, 1), integral=True), 2)"
 
@@ -1118,3 +1132,168 @@ class TestMemo:
         with pytest.raises(ArityMismatch) as err:
             call(rec)
         assert str(err.value) == text
+
+
+_REFUSALS = [
+    # (x-1)^2: a repeated root, refused by the guard and by the exact divisor
+    ((-1, 2), (0, 1), solve_weights, "weights_form", DegenerateRoots,
+     "characteristic roots separated by only 0"),
+    ((-1, 2), (0, 1), m_form, "chain_form", DegenerateRoots, "repeated root: sigma1 = 0"),
+    ((-1, 2), (0, 1), lambda rec: binet2(rec, 3), "chain_form", DegenerateRoots,
+     "repeated root: sigma1 = 0"),
+    # (x-1)^3 and (x^2-1)^2
+    ((1, -3, 3), (0, 1, 2), lambda rec: binet3(rec, 3), "chain_form", DegenerateRoots,
+     "repeated root: D = sigma1^3 - sigma2^3 = 0"),
+    ((-1, 0, 2, 0), (0, 1, 2, 3), m_form, "chain_form", DegenerateRoots,
+     "characteristic roots separated by only 4.94e-09"),
+    # roots 1 and -2: the root at 1 is the constant weight's node
+    ((2, -1), (0, 1), solve_weights, "weights_form", SingularSystem,
+     "a characteristic root at 1 collides with the constant column"),
+    # a seed beyond float range
+    ((1, 1), (0, 10 ** 400), solve_weights, "weights_form", TermOverflow,
+     "an exact value is beyond float range"),
+    ((1, 1), (0, 10 ** 400), m_form, "chain_form", TermOverflow,
+     "an exact value is beyond float range"),
+]
+
+
+def _race(rec, threads=8):
+    """solve_weights, m_form and verify on one rec from `threads` threads
+    released together: their results and whatever they raised."""
+    results, errors = [], []
+    barrier = threading.Barrier(threads)
+
+    def build():
+        try:
+            barrier.wait()
+            results.append((solve_weights(rec), m_form(rec), verify(rec, 30)))
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+    workers = [threading.Thread(target=build) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    return results, errors
+
+
+class TestKeptForms:
+    """Each Recurrence keeps its weight form and its chain form, each built on
+    first use; every test here builds its own Recurrences."""
+
+    @pytest.mark.parametrize("rec", [FIB, TRIB, TETRA], ids=["order2", "order3", "order4"])
+    def test_a_second_call_reads_the_same_form(self, monkeypatch, rec):
+        rec = _fresh(rec)
+        weights, chain = solve_weights(rec), m_form(rec)
+        built = []
+        for cls in (BinetForm, MForm):
+            monkeypatch.setattr(cls, "__init__", lambda form, *args, init=cls.__init__:
+                                built.append(form) or init(form, *args))
+        assert solve_weights(rec) is weights
+        assert m_form(rec) is chain
+        ks = (0, 5, 40)
+        if rec.order in (2, 3):
+            binet = binet2 if rec.order == 2 else binet3
+            assert [binet(rec, k) for k in ks] == [chain.evaluate(k) for k in ks]
+        assert verify(rec, 30).passed
+        assert built == []
+        assert rec.weights_form is weights
+        assert rec.chain_form is chain
+
+    @pytest.mark.parametrize("coeffs, seeds, call, slot, error, text", _REFUSALS)
+    def test_a_refusal_is_raised_on_every_call_and_kept_nowhere(
+            self, coeffs, seeds, call, slot, error, text):
+        rec = Recurrence(coeffs, seeds)
+        for _ in range(3):
+            with pytest.raises(error) as err:
+                call(rec)
+            assert str(err.value) == text
+            assert getattr(rec, slot, None) is None
+
+    def test_a_guard_refusal_keeps_the_form_binet3_answers_with(self):
+        # the separation guard refuses m_form after the chain form is built
+        rec = Recurrence((0.00029782432933849156, -4.68153117177826, 7061.33762553412), (1, 1, 1))
+        for _ in range(2):
+            with pytest.raises(DegenerateRoots):
+                m_form(rec)
+        assert binet3(rec, 5) == rec.chain_form.evaluate(5)
+
+    @pytest.mark.parametrize("rec", [FIB, TRIB, TETRA], ids=["order2", "order3", "order4"])
+    def test_copies_and_pickles_carry_equal_forms(self, rec):
+        rec = _fresh(rec)
+        weights, chain = solve_weights(rec), m_form(rec)
+        copies = {"copy": copy.copy(rec), "deepcopy": copy.deepcopy(rec),
+                  "pickle": pickle.loads(pickle.dumps(rec))}
+        for how, dup in copies.items():
+            assert dup == rec and hash(dup) == hash(rec) and repr(dup) == repr(rec), how
+            assert dup.weights_form == weights and repr(dup.weights_form) == repr(weights), how
+            assert dup.chain_form == chain and repr(dup.chain_form) == repr(chain), how
+            assert solve_weights(dup) is dup.weights_form and m_form(dup) is dup.chain_form, how
+        assert copies["copy"].weights_form is weights
+        for how in ("deepcopy", "pickle"):
+            dup = copies[how]
+            assert dup.weights_form is not weights and dup.weights_form.source is dup, how
+
+    def test_equal_recurrences_of_different_reprs_never_share_a_form(self):
+        ints, floats = Recurrence((1, 1), (0, 1)), Recurrence((1.0, 1.0), (0.0, 1.0))
+        assert ints == floats and repr(ints) != repr(floats)
+        for build in (solve_weights, m_form):
+            assert build(ints) is not build(floats)
+        assert solve_weights(ints).source is ints
+        assert solve_weights(floats).source is floats
+        clear_memos()
+        assert repr(solve_weights(floats)) == repr(solve_weights(_fresh(floats)))
+        assert repr(m_form(ints)) == repr(m_form(_fresh(ints)))
+
+    def test_racing_threads_never_raise(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            races = [(rec, _race(_fresh(rec))) for rec in (FIB, TRIB, TETRA) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for rec, (results, errors) in races:
+            assert errors == []
+            assert len(results) == 8
+            for weights, chain, report in results:
+                assert repr(weights) == repr(solve_weights(_fresh(rec)))
+                assert repr(chain) == repr(m_form(_fresh(rec)))
+                assert report.passed
+
+
+class TestVerifyPins:
+    def test_kmax_zero_compares_the_seed(self):
+        report = verify(_fresh(FIB), 0)
+        assert report.kmax == 0 and report.passed
+        assert {name: p.max_rel_err for name, p in report.paths.items()} == \
+            {"weights": 0.0, "binet2": 0.0, "m_form": 0.0}
+
+    def test_default_tolerance(self):
+        assert verify(_fresh(FIB), 10).rel_tol == 1e-8
+
+    def test_error_is_relative_to_max_of_one_and_the_term(self):
+        # x_k = 2.16 * 0.5^k - 0.16 * 1.125^k: the terms fall from 2 to ~0.04
+        # and then grow past 1900 by k = 80, so the floor of 1 decides the
+        # measure below 1 and |x_k| above it
+        rec = Recurrence((-0.5625, 1.625), (2.0, 0.9))
+        kmax = 80
+        exact = [float(x) for x in iterate(rec, kmax + 1)]
+        assert min(map(abs, exact)) < 0.05 and max(map(abs, exact)) > 1900
+        report = verify(rec, kmax)
+        forms = {"weights": solve_weights(rec), "binet2": _chain_form(rec), "m_form": m_form(rec)}
+        for name, form in forms.items():
+            errors = [(abs(form.evaluate(k) - x), abs(x)) for k, x in enumerate(exact)]
+            want = max(e / max(1.0, x) for e, x in errors)
+            assert report.paths[name].max_rel_err == want, name
+            if name == "binet2":
+                # both sides of 1 matter here: a floor of 2 below it, or 1
+                # kept up to |x| = 2, would give another measure
+                assert want != max(e / (x if x > 1.0 else 2.0) for e, x in errors)
+                assert want != max(e / (x if x > 2.0 else 1.0) for e, x in errors)
+
+    def test_snap_limit(self):
+        # x_k = 2^k: every term is exact in a float; closed_term snaps below 2^52 only
+        form = solve_weights(Recurrence((2,), (1,)))
+        below, at = closed_term(form, 51), closed_term(form, 52)
+        assert below.value == 2 ** 51 and below.nearest == 2 ** 51 and below.distance == 0.0
+        assert at.value == 2 ** 52 and at.nearest is None and at.distance is None

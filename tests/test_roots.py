@@ -81,6 +81,7 @@ class TestQuadratic:
 class TestCubicResolvents:
     def test_reference_values(self):
         res = cubic_resolvents(1, 1, 1)
+        assert res.degree == 3
         assert res.A == 38.0
         assert res.B == 4.0
         assert abs(res.sigmas[0] - 3.3090564799660944) < 1e-12
@@ -303,6 +304,7 @@ class TestPermutationTables:
         assert sym.signature == (Rotor(0, 1),) * 3
         assert s1.signature == (Rotor(0, 1), Rotor(1, 3), Rotor(2, 3))
         assert s2.signature == (Rotor(0, 1), Rotor(2, 3), Rotor(1, 3))
+        assert permutation_tables(4)[0].signature == (Rotor(0, 1),) * 4
         for table in permutation_tables(4)[1:]:
             assert table.signature == (
                 Rotor(0, 1), Rotor(1, 4), Rotor(3, 4), Rotor(1, 2)
@@ -417,12 +419,28 @@ class TestRootsFromSigma:
             with pytest.raises(InconsistentSigmas):
                 roots_from_sigma(sum(tetra), sigmas[:i] + [bad] + sigmas[i + 1:], 4)
 
+    def test_n4_tolerance_is_relative_to_one_plus_the_largest_input(self):
+        # the residual bound is 1e-8 * (1 + max(|c_top|, |sigma_j|)): consistent
+        # tuples at scales ~1e6 and ~1e8 pass (at 1e8 every residual here is
+        # above 1e-8), and a near-zero tuple whose residual, 1.5e-8, lies
+        # between 1e-8 * (1 + max) and 1e-8 * (2 + max) is refused
+        rng = random.Random(5)
+        tables = permutation_tables(4)[1:]
+        for scale in (1e6, 1e8):
+            for _ in range(20):
+                roots4 = [complex(rng.gauss(0, scale), rng.gauss(0, scale)) for _ in range(4)]
+                sigmas = [sigma_from_roots(roots4, t)[0] for t in tables]
+                back = roots_from_sigma(sum(roots4), sigmas, 4)
+                assert max(abs(a - b) for a, b in zip(back, roots4)) < 1e-8 * scale
+        with pytest.raises(InconsistentSigmas, match=r"residual 1\.5e-08"):
+            roots_from_sigma(0.0, [3e-8, 0.0, 0.0, 0.0, 0.0, 0.0], 4)
+
     def test_arity_and_degree(self):
-        with pytest.raises(ArityMismatch):
-            roots_from_sigma(0.0, [1.0, 2.0], 2)
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ArityMismatch, match="^degree 2 takes exactly one sigma$"):
+            roots_from_sigma(0, [1, 2], 2)
+        with pytest.raises(ArityMismatch, match="^degree 3 takes exactly two sigmas$"):
             roots_from_sigma(0.0, [1.0], 3)
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ArityMismatch, match="^degree 4 takes exactly six sigmas$"):
             roots_from_sigma(0.0, [1.0] * 5, 4)
         with pytest.raises(UnsupportedDegree):
             roots_from_sigma(0.0, [1.0] * 6, 5)
@@ -441,7 +459,8 @@ class TestClosedVersusNumeric:
 class TestMemo:
     def test_every_solver_and_form_builder_remembers(self):
         names = {fn.__name__ for fn in memos()}
-        assert names == {"root_analysis", "numeric_roots", "solve_weights", "_chain_form"}
+        # the forms built from the roots are kept on each Recurrence instead
+        assert names == {"root_analysis", "numeric_roots"}
 
     @pytest.mark.parametrize("first, second", [
         (0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1), (2 ** 60 + 1, float(2 ** 60 + 1)),
